@@ -13,11 +13,10 @@ from .errors import ConfigError
 from .fdkm import FdkmConfig, uniform_grid
 from .grids import AxisSpec, Grid4D, build_grid
 from .mc import McConfig
-from .model import ModelParams, OptionSpec, correlation_matrix
+from .model import ModelParams, OptionSpec, correlation_matrix, levels_time_dependent
+from .operators import BOUNDARY_MODES, THETA_MODES
+from .pricing import SOLVERS
 
-SOLVERS = ("auto", "krylov", "midpoint")
-BOUNDARIES = ("dirichlet", "neumann_flux", "abc")
-THETA_MODES = ("time_dependent", "constant_approx")
 METHODS = ("pm", "fdkm")
 INTERPOLATIONS = ("linear", "cubic")
 
@@ -134,7 +133,7 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     method = sd.get("method", "pm")
     interpolation = sd.get("interpolation", "cubic")
     _require(solver in SOLVERS, f"solver must be one of {SOLVERS}, got {solver!r}", violations)
-    _require(boundary in BOUNDARIES, f"boundary must be one of {BOUNDARIES}, got {boundary!r}", violations)
+    _require(boundary in BOUNDARY_MODES, f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}", violations)
     _require(theta_mode in THETA_MODES, f"theta_mode must be one of {THETA_MODES}", violations)
     _require(method in METHODS, f"method must be one of {METHODS}, got {method!r}", violations)
     _require(interpolation in INTERPOLATIONS,
@@ -146,8 +145,12 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
 
     theta_d = tuple(md.get("theta_d", (0.0, 0.0, 0.0)))
     theta_f = tuple(md.get("theta_f", (0.0, 0.0, 0.0)))
-    time_dep = (theta_d[1] != 0 and theta_d[2] != 0) or (theta_f[1] != 0 and theta_f[2] != 0)
-    if solver == "krylov" and theta_mode == "time_dependent" and time_dep:
+    if (
+        solver == "krylov"
+        and theta_mode == "time_dependent"
+        and len(theta_d) == len(theta_f) == 3  # else ModelParams reports the length
+        and levels_time_dependent(theta_d, theta_f)
+    ):
         violations.append(
             "solver 'krylov' requires a time-independent operator; "
             "use theta_mode 'constant_approx' or solver 'midpoint'"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators, pricing
+from . import pricing
 from .errors import InvalidArgumentError
 from .grids import Grid4D
 from .model import ModelParams, OptionSpec
@@ -41,17 +41,6 @@ def uniform_grid(cfg: FdkmConfig) -> Grid4D:
         rd_nodes=np.linspace(cfg.r_min, cfg.r_max, m3),
         rf_nodes=np.linspace(cfg.r_min, cfg.r_max, m4),
     )
-
-
-def assemble_fdkm_operator(
-    cfg: FdkmConfig, params: ModelParams, theta_mode="time_dependent"
-) -> operators.AssembledOperator:
-    """Central-FD operator on the uniform grid (no boundary rows yet)."""
-    grid = uniform_grid(cfg)
-    op = operators.assemble_operator(grid, params, theta_mode=theta_mode, fd_limit=True)
-    op.meta["method"] = "fdkm"
-    op.meta["boundary_machinery"] = "shared with the RBF-FD pipeline, FD-limit rows"
-    return op
 
 
 def fdkm_price(

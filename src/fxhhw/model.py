@@ -23,6 +23,11 @@ def mean_reversion_level(coeffs, tau):
     return a1 - a2 * np.exp(-a3 * np.asarray(tau, dtype=float))
 
 
+def levels_time_dependent(theta_d_params, theta_f_params):
+    """True when either level a1 - a2*exp(-a3*tau) actually varies with tau."""
+    return any(c[1] != 0.0 and c[2] != 0.0 for c in (theta_d_params, theta_f_params))
+
+
 def constant_level_approx(coeffs):
     """Constant approximation: the level evaluated at tau = 1."""
     a1, a2, a3 = coeffs
@@ -137,9 +142,7 @@ class ModelParams:
     @property
     def theta_time_dependent(self):
         """True when either mean-reversion level actually varies with tau."""
-        return (self.theta_d_params[1] != 0.0 and self.theta_d_params[2] != 0.0) or (
-            self.theta_f_params[1] != 0.0 and self.theta_f_params[2] != 0.0
-        )
+        return levels_time_dependent(self.theta_d_params, self.theta_f_params)
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,3 @@ class OptionSpec:
         else:
             out = np.maximum(self.strike - s, 0.0)
         return float(out) if out.ndim == 0 else out
-
-
-def payoff(option: OptionSpec, s):
-    return option.payoff(s)

@@ -1,9 +1,12 @@
 """Sparse spatial operator for the 4D pricing PDE.
 
-1D differentiation matrices are filled with the closed-form RBF-FD weights
-(or their classical FD limits) and composed into the full operator by
-Kronecker products under natural ordering: the spot index varies fastest,
-then variance, then the domestic and foreign rates.
+1D differentiation matrices are filled, all rows at once, with the
+closed-form RBF-FD weights (or their classical FD limits).  Every PDE
+coefficient factorizes over the four axes (s^2 v, s sqrt(v), r_d s - r_f s,
+...), so the operator is a table of separable terms: each row is a scalar
+times one Kronecker product of four small per-axis factors, diag(coef) @ D,
+diag(coef), D or the identity.  Natural ordering: the spot index varies
+fastest, then variance, then the domestic and foreign rates.
 
 The operator splits as A(tau) = A0 + theta_d(tau)*Bd + theta_f(tau)*Bf so
 time stepping does not reassemble anything; when both mean-reversion levels
@@ -12,6 +15,9 @@ are constant the theta parts are folded into the base matrix.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,6 +37,7 @@ from .stencils import ShapeParams, ShapeParameterWarning
 
 AXES = ("s", "v", "rd", "rf")
 BOUNDARY_MODES = ("dirichlet", "neumann_flux", "abc")
+THETA_MODES = ("time_dependent", "constant_approx")
 
 
 def _check_increments(nodes):
@@ -38,6 +45,25 @@ def _check_increments(nodes):
     if np.any(d <= 0) or np.min(d) < 1e-13 * (nodes[-1] - nodes[0]):
         raise GridDegeneracyError("axis increments are degenerate")
     return d
+
+
+def _stencil_matrix(m, blocks):
+    """m x m CSR matrix from (row indices, column offsets, weights) blocks.
+
+    ``weights`` has one row per column offset and one column per row index.
+    """
+    rows, cols, vals = [], [], []
+    for idx, offsets, weights in blocks:
+        idx = np.atleast_1d(idx)
+        weights = np.asarray(weights, dtype=float).reshape(len(offsets), idx.size)
+        for off, w in zip(offsets, weights):
+            rows.append(idx)
+            cols.append(idx + off)
+            vals.append(w)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m),
+    ).tocsr()
 
 
 def first_derivative_matrix(nodes, c):
@@ -50,36 +76,19 @@ def first_derivative_matrix(nodes, c):
     if m < 3:
         raise InvalidArgumentError("first-derivative matrix needs >= 3 nodes")
     d = _check_increments(nodes)
-    rows, cols, vals = [], [], []
-
-    def put(i, js, ws):
-        rows.extend([i] * len(js))
-        cols.extend(js)
-        vals.extend(ws)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShapeParameterWarning)
-        for i in range(1, m - 1):
-            h = d[i - 1]
-            omega = d[i] / d[i - 1]
-            if c is None:
-                w = stencils.fd_limit_first_weights(h, omega).weights
-            else:
-                w = stencils.first_derivative_weights(
-                    stencils.StencilGeometry1(h=h, omega_plus=omega, c=c)
-                ).weights
-            put(i, [i - 1, i, i + 1], w)
-        # One-sided two-node end rows; same weight pair at both ends.
-        h0, hm = d[0], d[-1]
-        if c is None:
-            put(0, [0, 1], [-1.0 / h0, 1.0 / h0])
-            put(m - 1, [m - 2, m - 1], [-1.0 / hm, 1.0 / hm])
-        else:
-            w0 = stencils.boundary_first_weights(h0, c).weights
-            wm = stencils.boundary_first_weights(hm, c).weights
-            put(0, [0, 1], w0)
-            put(m - 1, [m - 2, m - 1], wm)
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+    h, omega = d[:-1], d[1:] / d[:-1]
+    stencils.check_geometry(h, c, omega_plus=omega)
+    # One-sided two-node end rows; same weight pair at both ends.
+    if c is None:
+        w0, wm = (-1.0 / d[0], 1.0 / d[0]), (-1.0 / d[-1], 1.0 / d[-1])
+    else:
+        w0 = stencils.boundary_first_weights(d[0], c).weights
+        wm = stencils.boundary_first_weights(d[-1], c).weights
+    A = _stencil_matrix(m, [
+        (0, (0, 1), w0),
+        (np.arange(1, m - 1), (-1, 0, 1), stencils.first_weight_rows(h, omega, c)),
+        (m - 1, (-1, 0), wm),
+    ])
     _warn_shape_regime(nodes, c, order=1)
     return A
 
@@ -96,39 +105,25 @@ def second_derivative_matrix(nodes, c):
     if m < 4:
         raise InvalidArgumentError("second-derivative matrix needs >= 4 nodes")
     d = _check_increments(nodes)
-    rows, cols, vals = [], [], []
-
-    def put(i, js, ws):
-        rows.extend([i] * len(js))
-        cols.extend(js)
-        vals.extend(ws)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShapeParameterWarning)
-        for i in range(2, m - 1):
-            h = d[i - 1]
-            wm = (nodes[i] - nodes[i - 2]) / h
-            wp = d[i] / h
-            if c is None:
-                w = stencils.fd_limit_second_weights(h, wm, wp).weights
-            else:
-                w = stencils.second_derivative_weights(
-                    stencils.StencilGeometry2(h=h, w_minus2=wm, w_plus1=wp, c=c)
-                ).weights
-            put(i, [i - 2, i - 1, i, i + 1], w)
-        # Row 2: three nodes, left gap d[0], right gap d[1].
-        if c is None:
-            hl, hr = d[0], d[1]
-            put(1, [0, 1, 2], [2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr))])
-        else:
-            w2 = stencils.near_boundary_second_weights(d[0], d[1] / d[0], c).weights
-            put(1, [0, 1, 2], w2)
-        # End rows: the (-4/c^2, 2/c^2) pair; zero in the FD limit.
-        if c is not None:
-            c2 = c * c
-            put(0, [0, 1], [-4.0 / c2, 2.0 / c2])
-            put(m - 1, [m - 2, m - 1], [-4.0 / c2, 2.0 / c2])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+    i = np.arange(2, m - 1)
+    h = d[i - 1]
+    wm, wp = (nodes[i] - nodes[i - 2]) / h, d[i] / h
+    stencils.check_geometry(h, c, w_plus1=wp, w_minus2_minus_1=wm - 1.0)
+    # Row 2: three nodes, left gap d[0], right gap d[1].
+    if c is None:
+        hl, hr = d[0], d[1]
+        w2 = (2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr)))
+    else:
+        w2 = stencils.near_boundary_second_weights(d[0], d[1] / d[0], c).weights
+    blocks = [
+        (1, (-1, 0, 1), w2),
+        (i, (-2, -1, 0, 1), stencils.second_weight_rows(h, wm, wp, c)),
+    ]
+    # End rows: the (-4/c^2, 2/c^2) pair; zero in the FD limit.
+    if c is not None:
+        pair = (-4.0 / (c * c), 2.0 / (c * c))
+        blocks += [(0, (0, 1), pair), (m - 1, (-1, 0), pair)]
+    A = _stencil_matrix(m, blocks)
     _warn_shape_regime(nodes, c, order=2)
     return A
 
@@ -149,25 +144,61 @@ def _warn_shape_regime(nodes, c, order):
         )
 
 
-def _kron4(a_rf, a_rd, a_v, a_s):
-    return sp.kron(
-        sp.kron(sp.kron(a_rf, a_rd, format="csr"), a_v, format="csr"),
-        a_s,
-        format="csr",
-    )
+def _diag(coef):
+    coef = np.asarray(coef, dtype=float)
+    if not np.all(np.isfinite(coef)):
+        raise AssemblyError("non-finite coefficient field encountered")
+    return sp.diags(coef)
 
 
-def _axis_operator(mats, grid):
-    """Embed per-axis matrices into the 4D space (identity elsewhere)."""
-    m1, m2, m3, m4 = grid.shape
-    eye = {
-        "s": sp.identity(m1, format="csr"),
-        "v": sp.identity(m2, format="csr"),
-        "rd": sp.identity(m3, format="csr"),
-        "rf": sp.identity(m4, format="csr"),
+def _kron_term(scale, factors, grid):
+    """scale * (F_rf kron F_rd kron F_v kron F_s); absent axes are identities."""
+    if not np.isfinite(scale):
+        raise AssemblyError("non-finite coefficient field encountered")
+    out = None
+    for ax in AXES[::-1]:
+        f = factors.get(ax)
+        if f is None:
+            f = sp.identity(grid.axis_nodes(ax).size, format="csr")
+        out = f if out is None else sp.kron(out, f, format="csr")
+    out.data *= scale
+    return out
+
+
+def _term_table(grid, p, D1, D2):
+    """The operator as rows (scalar, {axis: factor}), one table per part.
+
+    Every PDE coefficient factorizes over the axes, so each factor is
+    diag(coef_axis) @ D_axis, diag(coef_axis) or D_axis, and each row is one
+    Kronecker product of four small matrices.  The sums (r_d - r_f) s and
+    -lambda_f r_f - rho_sf eta_f sqrt(v) take two rows each.
+    """
+    s, v, rd, rf = (_diag(grid.axis_nodes(ax)) for ax in AXES)
+    sqv = _diag(np.sqrt(grid.v_nodes))
+    sD1 = s @ D1["s"]
+    return {
+        "base": [
+            (0.5, {"s": s @ s @ D2["s"], "v": v}),
+            (0.5 * p.gamma**2, {"v": v @ D2["v"]}),
+            (0.5 * p.eta_d**2, {"rd": D2["rd"]}),
+            (0.5 * p.eta_f**2, {"rf": D2["rf"]}),
+            (p.rho_sv * p.gamma, {"s": sD1, "v": v @ D1["v"]}),
+            (p.rho_sd * p.eta_d, {"s": sD1, "v": sqv, "rd": D1["rd"]}),
+            (p.rho_sf * p.eta_f, {"s": sD1, "v": sqv, "rf": D1["rf"]}),
+            (p.rho_vd * p.gamma * p.eta_d, {"v": sqv @ D1["v"], "rd": D1["rd"]}),
+            (p.rho_vf * p.gamma * p.eta_f, {"v": sqv @ D1["v"], "rf": D1["rf"]}),
+            (p.rho_df * p.eta_d * p.eta_f, {"rd": D1["rd"], "rf": D1["rf"]}),
+            (1.0, {"s": sD1, "rd": rd}),
+            (-1.0, {"s": sD1, "rf": rf}),
+            (p.kappa, {"v": _diag(p.vbar - grid.v_nodes) @ D1["v"]}),
+            (-p.lambda_d, {"rd": rd @ D1["rd"]}),
+            (-p.lambda_f, {"rf": rf @ D1["rf"]}),
+            (-p.rho_sf * p.eta_f, {"v": sqv, "rf": D1["rf"]}),
+            (-1.0, {"rd": rd}),
+        ],
+        "theta_d": [(p.lambda_d, {"rd": D1["rd"]})],
+        "theta_f": [(p.lambda_f, {"rf": D1["rf"]})],
     }
-    factors = {ax: mats.get(ax, eye[ax]) for ax in AXES}
-    return _kron4(factors["rf"], factors["rd"], factors["v"], factors["s"])
 
 
 def face_masks(grid: Grid4D):
@@ -252,14 +283,14 @@ def assemble_operator(
     shapes=None,
     fd_limit=False,
 ) -> AssembledOperator:
-    """Assemble the 15-term spatial operator on ``grid`` (no boundary rows yet).
+    """Assemble the spatial operator on ``grid`` (no boundary rows yet).
 
     ``shapes`` defaults to the per-axis rule tied to the largest increment;
     ``fd_limit=True`` uses classical FD weights everywhere (uniform-grid
     baseline scheme).  ``theta_mode`` is ``"time_dependent"`` or
     ``"constant_approx"`` (constant levels from the tau=1 evaluation).
     """
-    if theta_mode not in ("time_dependent", "constant_approx"):
+    if theta_mode not in THETA_MODES:
         raise InvalidArgumentError(f"unknown theta_mode {theta_mode!r}")
     if grid.v_nodes[0] < 0:
         raise InvalidArgumentError("variance axis contains negative nodes")
@@ -271,68 +302,28 @@ def assemble_operator(
             shapes = stencils.shape_parameters(grid)
         c_of = {ax: shapes.for_axis(ax) for ax in AXES}
 
-    m1, m2, m3, m4 = grid.shape
-    M1 = {ax: first_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
-    M2 = {ax: second_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
-
-    s = grid.s_nodes[None, None, None, :]
-    v = grid.v_nodes[None, None, :, None]
-    rd = grid.rd_nodes[None, :, None, None]
-    rf = grid.rf_nodes[:, None, None, None]
-    full = (m4, m3, m2, m1)
-
-    def dg(expr):
-        f = np.broadcast_to(np.asarray(expr, dtype=float), full).reshape(-1)
-        if not np.all(np.isfinite(f)):
-            raise AssemblyError("non-finite coefficient field encountered")
-        return sp.diags(f)
-
-    p = params
-    sqv = np.sqrt(v)
-
-    terms = [
-        (dg(0.5 * s**2 * v), _axis_operator({"s": M2["s"]}, grid)),
-        (dg(0.5 * p.gamma**2 * v * np.ones_like(s)), _axis_operator({"v": M2["v"]}, grid)),
-        (dg(0.5 * p.eta_d**2 * np.ones(full)), _axis_operator({"rd": M2["rd"]}, grid)),
-        (dg(0.5 * p.eta_f**2 * np.ones(full)), _axis_operator({"rf": M2["rf"]}, grid)),
-        (dg(p.rho_sv * p.gamma * s * v), _axis_operator({"s": M1["s"], "v": M1["v"]}, grid)),
-        (dg(p.rho_sd * p.eta_d * s * sqv), _axis_operator({"s": M1["s"], "rd": M1["rd"]}, grid)),
-        (dg(p.rho_sf * p.eta_f * s * sqv), _axis_operator({"s": M1["s"], "rf": M1["rf"]}, grid)),
-        (dg(p.rho_vd * p.gamma * p.eta_d * sqv * np.ones_like(s)), _axis_operator({"v": M1["v"], "rd": M1["rd"]}, grid)),
-        (dg(p.rho_vf * p.gamma * p.eta_f * sqv * np.ones_like(s)), _axis_operator({"v": M1["v"], "rf": M1["rf"]}, grid)),
-        (dg(p.rho_df * p.eta_d * p.eta_f * np.ones(full)), _axis_operator({"rd": M1["rd"], "rf": M1["rf"]}, grid)),
-        (dg((rd - rf) * s), _axis_operator({"s": M1["s"]}, grid)),
-        (dg(p.kappa * (p.vbar - v) * np.ones_like(s)), _axis_operator({"v": M1["v"]}, grid)),
-        (dg(-p.lambda_d * rd * np.ones_like(s)), _axis_operator({"rd": M1["rd"]}, grid)),
-        (dg((-p.lambda_f * rf - p.rho_sf * p.eta_f * sqv) * np.ones_like(s)), _axis_operator({"rf": M1["rf"]}, grid)),
-    ]
-    n = grid.n
-    base = sp.csr_matrix((n, n))
-    for coeff, op in terms:
-        base = base + coeff @ op
-    base = base - dg(rd * np.ones_like(s) * np.ones_like(v) * np.ones_like(rf))
-
-    theta_d_part = (p.lambda_d * _axis_operator({"rd": M1["rd"]}, grid)).tocsr()
-    theta_f_part = (p.lambda_f * _axis_operator({"rf": M1["rf"]}, grid)).tocsr()
+    D1 = {ax: first_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
+    D2 = {ax: second_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
+    base, theta_d_part, theta_f_part = (
+        functools.reduce(operator.add, (_kron_term(a, f, grid) for a, f in rows))
+        for rows in _term_table(grid, params, D1, D2).values()
+    )
 
     meta = {
         "ordering": "s fastest, then v, then r_d, then r_f",
         "theta_mode": theta_mode,
         "fd_limit": fd_limit,
+        # kept for the neumann_flux boundary rows
+        "d2": D2,
     }
-    if theta_mode == "constant_approx":
-        th_d, th_f = p.theta_constant_approx()
-        base = (base + th_d * theta_d_part + th_f * theta_f_part).tocsr()
+    if theta_mode == "constant_approx" or not params.theta_time_dependent:
+        if theta_mode == "constant_approx":
+            th_d, th_f = params.theta_constant_approx()
+        else:
+            th_d, th_f = float(params.theta_d(0.0)), float(params.theta_f(0.0))
+        base = base + th_d * theta_d_part + th_f * theta_f_part
         theta_d_part = theta_f_part = None
         meta["theta_values"] = (th_d, th_f)
-    elif not p.theta_time_dependent:
-        th_d = float(p.theta_d(0.0))
-        th_f = float(p.theta_f(0.0))
-        base = (base + th_d * theta_d_part + th_f * theta_f_part).tocsr()
-        theta_d_part = theta_f_part = None
-        meta["theta_values"] = (th_d, th_f)
-    else:
-        base = base.tocsr()
 
     if not np.all(np.isfinite(base.data)):
         raise AssemblyError("assembled operator contains non-finite entries")
@@ -393,112 +384,34 @@ def impose_boundaries(
         )
 
     masks = face_masks(op.grid)
-    base = op.base
-    bd, bf = op.theta_d_part, op.theta_f_part
+    base, bd, bf = op.base, op.theta_d_part, op.theta_f_part
     pinned = np.zeros(op.n, dtype=bool)
-
-    if mode == "abc":
-        out = AssembledOperator(
-            base=base,
-            theta_d_part=bd,
-            theta_f_part=bf,
-            grid=op.grid,
-            params=op.params,
-            shapes=op.shapes,
-            boundary_mode=mode,
-            pinned=pinned,
-            meta=dict(op.meta, boundary_mode=mode),
-        )
-        out.meta["nnz"] = out.nnz
-        return out
-
     if mode == "dirichlet":
-        pinned = (
-            masks["s_lo"]
-            | masks["s_hi"]
-            | masks["v_hi"]
-            | masks["rd_lo"]
-            | masks["rd_hi"]
-            | masks["rf_lo"]
-            | masks["rf_hi"]
+        pinned = np.logical_or.reduce(
+            [masks[f] for f in ("s_lo", "s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi")]
         )
         base = _zero_rows(base, pinned)
-        if bd is not None:
-            bd = _zero_rows(bd, pinned)
-        if bf is not None:
-            bf = _zero_rows(bf, pinned)
-    else:  # neumann_flux
-        pinned = masks["s_lo"].copy()
-        c_of = (
-            dict.fromkeys(AXES)
-            if op.shapes is None
-            else {ax: op.shapes.for_axis(ax) for ax in AXES}
-        )
-        deriv_rows = {
-            "s_hi": _axis_operator(
-                {"s": second_derivative_matrix(op.grid.s_nodes, c_of["s"])}, op.grid
-            ),
-            "v_hi": _axis_operator(
-                {"v": second_derivative_matrix(op.grid.v_nodes, c_of["v"])}, op.grid
-            ),
-            "rd": _axis_operator(
-                {"rd": second_derivative_matrix(op.grid.rd_nodes, c_of["rd"])}, op.grid
-            ),
-            "rf": _axis_operator(
-                {"rf": second_derivative_matrix(op.grid.rf_nodes, c_of["rf"])}, op.grid
-            ),
-        }
+        taken = pinned
+    elif mode == "neumann_flux":
+        pinned = masks["s_lo"]
+        base = _zero_rows(base, pinned)
         taken = pinned.copy()
-        base = _zero_rows(base, pinned)
-        for face, repl in (
-            ("s_hi", deriv_rows["s_hi"]),
-            ("v_hi", deriv_rows["v_hi"]),
-            ("rd_lo", deriv_rows["rd"]),
-            ("rd_hi", deriv_rows["rd"]),
-            ("rf_lo", deriv_rows["rf"]),
-            ("rf_hi", deriv_rows["rf"]),
-        ):
+        d2 = {ax: _kron_term(1.0, {ax: op.meta["d2"][ax]}, op.grid) for ax in AXES}
+        for face in ("s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi"):
             rows = masks[face] & ~taken
-            base = _replace_rows(base, rows, repl)
+            base = _replace_rows(base, rows, d2[face.split("_")[0]])
             taken |= rows
-        if bd is not None:
-            bd = _zero_rows(bd, taken)
-        if bf is not None:
-            bf = _zero_rows(bf, taken)
+    if mode != "abc":
+        bd, bf = (None if A is None else _zero_rows(A, taken) for A in (bd, bf))
 
-    out = AssembledOperator(
+    out = dataclasses.replace(
+        op,
         base=base,
         theta_d_part=bd,
         theta_f_part=bf,
-        grid=op.grid,
-        params=op.params,
-        shapes=op.shapes,
         boundary_mode=mode,
         pinned=pinned,
         meta=dict(op.meta, boundary_mode=mode),
     )
     out.meta["nnz"] = out.nnz
     return out
-
-
-def write_triplets(matrix, path):
-    """Dump a sparse matrix as text lines ``row col value``."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, x in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{int(r)} {int(c)} {float(x)!r}\n")
-
-
-def read_triplets(path):
-    """Inverse of :func:`write_triplets`."""
-    rows, cols, vals = [], [], []
-    with open(path) as fh:
-        header = fh.readline().split()
-        shape = (int(header[1]), int(header[2]))
-        for line in fh:
-            r, c, x = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(x))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +21,27 @@ from .integrators import (
 from .model import ModelParams, OptionSpec, feller_check
 
 SOLVERS = ("auto", "krylov", "midpoint")
+
+try:
+    # glibc's malloc_trim; other C libraries do not have it.
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+    _MALLOC_TRIM.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+def _release_freed_heap():
+    """Return the free pages of the C heap to the OS, where glibc allows it.
+
+    Assembly and boundary rows free tens of MB of sparse temporaries.  glibc
+    hands them back only when enough free space gathers at the top of the
+    heap, which depends on where the live matrices landed, and that varies
+    from run to run with address-space randomization; without a trim, the
+    memory a solve holds differs between identical runs by that much.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def payoff_vector(grid: Grid4D, option: OptionSpec):
@@ -127,8 +150,6 @@ def interpolate(field: SolutionField, point, method="linear"):
     vi, vw = axw(g.v_nodes, v)
     di, dw = axw(g.rd_nodes, rd)
     fi, fw = axw(g.rf_nodes, rf)
-    block = field.reshape4()[np.ix_(fi, di, vi, si)]
-    out = np.einsum("f,d,v,s,fdvs->", fw, dw, vw, sw, block)
     # Exactly-on-node queries must return the stored value bit-for-bit.
     if sw.max() == 1.0 and vw.max() == 1.0 and dw.max() == 1.0 and fw.max() == 1.0:
         return float(
@@ -136,7 +157,8 @@ def interpolate(field: SolutionField, point, method="linear"):
                 fi[fw.argmax()], di[dw.argmax()], vi[vw.argmax()], si[sw.argmax()]
             ]
         )
-    return float(out)
+    block = field.reshape4()[np.ix_(fi, di, vi, si)]
+    return float(np.einsum("f,d,v,s,fdvs->", fw, dw, vw, sw, block))
 
 
 def price(
@@ -169,6 +191,8 @@ def price(
         grid, model, theta_mode=theta_mode, fd_limit=fd_limit
     )
     op = operators.impose_boundaries(op, boundary, option)
+    # The operator without boundary rows is garbage from here on.
+    _release_freed_heap()
 
     if solver == "auto":
         solver = "midpoint" if op.is_time_dependent else "krylov"
@@ -184,10 +208,9 @@ def price(
     T = option.maturity
     if solver == "krylov":
         cfg = krylov or KrylovConfig()
-        v = krylov_expm_action(op.matrix(0.0), v0, KrylovConfig(
-            dim=cfg.dim, tol=cfg.tol, breakdown_tol=cfg.breakdown_tol,
-            tau=T * cfg.tau, check_every=cfg.check_every, substeps=cfg.substeps,
-        ))
+        v = krylov_expm_action(
+            op.matrix(0.0), v0, dataclasses.replace(cfg, tau=T * cfg.tau)
+        )
     else:
         if delta_tau is None:
             raise ConfigError(["midpoint solver requires delta_tau"])

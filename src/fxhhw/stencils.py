@@ -42,11 +42,32 @@ class ShapeParameterWarning(UserWarning):
     """Shape parameter is not well separated from the local step size."""
 
 
-def _check_shape_regime(h, c, where):
-    if c < h:
+def check_geometry(h, c, **ratios):
+    """Reject non-positive steps, step ratios below ``RATIO_FLOOR`` and c < h.
+
+    Elementwise over arrays of steps and ratios, so one call checks every row
+    of a differentiation matrix; ``c=None`` (the FD limit) skips the shape
+    checks.
+    """
+    h = np.asarray(h, dtype=float)
+    if not np.all((h > 0) & np.isfinite(h)):
+        raise InvalidArgumentError(f"h must be positive, got {np.min(h)}")
+    for name, r in ratios.items():
+        if not np.all(np.asarray(r) >= RATIO_FLOOR):
+            raise InvalidArgumentError(
+                f"{name} must be >= {RATIO_FLOOR}, got {np.min(r)}"
+            )
+    if c is None:
+        return
+    if not (c > 0 and np.isfinite(c)):
+        raise InvalidArgumentError(f"c must be positive, got {c}")
+    if np.any(c < h):
         raise InvalidArgumentError(
-            f"{where}: shape parameter c={c} below the step h={h}"
+            f"shape parameter c={c} below the step h={np.max(h)}"
         )
+
+
+def _warn_shape_regime(h, c, where):
     if c < SHAPE_WARN_RATIO * h:
         warnings.warn(
             f"{where}: c/h = {c / h:.3g} < {SHAPE_WARN_RATIO}; weights are "
@@ -65,15 +86,8 @@ class StencilGeometry1:
     c: float
 
     def __post_init__(self):
-        if not (self.h > 0 and np.isfinite(self.h)):
-            raise InvalidArgumentError(f"h must be positive, got {self.h}")
-        if not (self.omega_plus >= RATIO_FLOOR):
-            raise InvalidArgumentError(
-                f"omega_plus must be >= {RATIO_FLOOR}, got {self.omega_plus}"
-            )
-        if not (self.c > 0 and np.isfinite(self.c)):
-            raise InvalidArgumentError(f"c must be positive, got {self.c}")
-        _check_shape_regime(self.h, self.c, "StencilGeometry1")
+        check_geometry(self.h, self.c, omega_plus=self.omega_plus)
+        _warn_shape_regime(self.h, self.c, "StencilGeometry1")
 
     @property
     def offsets(self):
@@ -90,20 +104,11 @@ class StencilGeometry2:
     c: float
 
     def __post_init__(self):
-        if not (self.h > 0 and np.isfinite(self.h)):
-            raise InvalidArgumentError(f"h must be positive, got {self.h}")
-        if not (self.w_plus1 >= RATIO_FLOOR):
-            raise InvalidArgumentError(
-                f"w_plus1 must be >= {RATIO_FLOOR}, got {self.w_plus1}"
-            )
         # w_minus2 = 1 collapses nodes i-2 and i-1; < 1 breaks the ordering.
-        if not (self.w_minus2 - 1.0 >= RATIO_FLOOR):
-            raise InvalidArgumentError(
-                f"w_minus2 must exceed 1, got {self.w_minus2}"
-            )
-        if not (self.c > 0 and np.isfinite(self.c)):
-            raise InvalidArgumentError(f"c must be positive, got {self.c}")
-        _check_shape_regime(self.h, self.c, "StencilGeometry2")
+        check_geometry(
+            self.h, self.c, w_plus1=self.w_plus1, w_minus2_minus_1=self.w_minus2 - 1.0
+        )
+        _warn_shape_regime(self.h, self.c, "StencilGeometry2")
 
     @property
     def offsets(self):
@@ -157,20 +162,39 @@ def gaussian_rbf(r, c):
     return float(out) if out.ndim == 0 else out
 
 
-def first_derivative_weights(g: StencilGeometry1) -> WeightSet:
-    """Three-node first-derivative weights (alpha_{i-1}, alpha_i, alpha_{i+1})."""
-    h, w, c = g.h, g.omega_plus, g.c
+def first_weight_rows(h, w, c=None):
+    """Three-node first-derivative weights (alpha_{i-1}, alpha_i, alpha_{i+1}).
+
+    Elementwise over arrays of steps ``h`` and ratios ``w``: returns a
+    (3, ...) array.  ``c=None`` gives the classical FD limit.  No validation;
+    see :func:`check_geometry`.
+    """
+    if c is None:
+        am = -w / (h * (w + 1.0))
+        a0 = (w - 1.0) / (h * w)
+        ap = 1.0 / (h * w * (w + 1.0))
+        return np.array([am, a0, ap])
     c2 = c * c
     h2 = h * h
     am = w * (h2 * (2.0 * w - 5.0) - 3.0 * c2) / (3.0 * c2 * h * (w + 1.0))
     a0 = (w - 1.0) / (h * w) - 2.0 * h * (w - 1.0) / (3.0 * c2)
     ap = (h2 * (5.0 * w - 2.0) / c2 + 3.0 / w) / (3.0 * h * (w + 1.0))
-    return WeightSet(np.array([am, a0, ap]), g.offsets)
+    return np.array([am, a0, ap])
 
 
-def second_derivative_weights(g: StencilGeometry2) -> WeightSet:
-    """Four-node second-derivative weights (beta_{i-2}, ..., beta_{i+1})."""
-    h, wm, wp, c = g.h, g.w_minus2, g.w_plus1, g.c
+def second_weight_rows(h, wm, wp, c=None):
+    """Four-node second-derivative weights (beta_{i-2}, ..., beta_{i+1}).
+
+    Elementwise over arrays of ``h``, ``wm``, ``wp``: returns a (4, ...)
+    array.  ``c=None`` gives the classical FD limit.  No validation.
+    """
+    if c is None:
+        h2 = h * h
+        bm2 = 2.0 * (wp - 1.0) / (h2 * (wm - 1.0) * wm * (wm + wp))
+        bm1 = 2.0 * (wm - wp) / (h2 * (wm - 1.0) * (wp + 1.0))
+        b0 = -2.0 * (wm - wp + 1.0) / (h2 * wm * wp)
+        bp1 = 2.0 * (wm + 1.0) / (h2 * (wm + wp) * (wp * wp + wp))
+        return np.array([bm2, bm1, b0, bp1])
     c2 = c * c
     h2 = h * h
     mu1 = (
@@ -195,7 +219,17 @@ def second_derivative_weights(g: StencilGeometry2) -> WeightSet:
         + 3.0 * h2 * (wm + 1.0) * wp * wp
         - h2 * (wm * (wm + 3.0) + 1.0) * wp
     ) / (c2 * h2 * wp * (wp + 1.0) * (wm + wp))
-    return WeightSet(np.array([bm2, bm1, b0, bp1]), g.offsets)
+    return np.array([bm2, bm1, b0, bp1])
+
+
+def first_derivative_weights(g: StencilGeometry1) -> WeightSet:
+    """Three-node first-derivative weights (alpha_{i-1}, alpha_i, alpha_{i+1})."""
+    return WeightSet(first_weight_rows(g.h, g.omega_plus, g.c), g.offsets)
+
+
+def second_derivative_weights(g: StencilGeometry2) -> WeightSet:
+    """Four-node second-derivative weights (beta_{i-2}, ..., beta_{i+1})."""
+    return WeightSet(second_weight_rows(g.h, g.w_minus2, g.w_plus1, g.c), g.offsets)
 
 
 def boundary_first_weights(h, c) -> WeightSet:
@@ -256,25 +290,15 @@ def near_boundary_second_weights(h, omega1, c) -> WeightSet:
 
 def fd_limit_first_weights(h, omega) -> WeightSet:
     """Classical non-uniform 3-node first-derivative weights (c -> inf limit)."""
-    if not (h > 0 and omega >= RATIO_FLOOR):
-        raise InvalidArgumentError("h must be positive and omega non-degenerate")
-    am = -omega / (h * (omega + 1.0))
-    a0 = (omega - 1.0) / (h * omega)
-    ap = 1.0 / (h * omega * (omega + 1.0))
-    return WeightSet(np.array([am, a0, ap]), np.array([-h, 0.0, omega * h]))
+    check_geometry(h, None, omega=omega)
+    return WeightSet(first_weight_rows(h, omega), np.array([-h, 0.0, omega * h]))
 
 
 def fd_limit_second_weights(h, wm, wp) -> WeightSet:
     """Classical non-uniform 4-node second-derivative weights (c -> inf limit)."""
-    if not (h > 0 and wp >= RATIO_FLOOR and wm - 1.0 >= RATIO_FLOOR):
-        raise InvalidArgumentError("invalid four-node geometry")
-    h2 = h * h
-    bm2 = 2.0 * (wp - 1.0) / (h2 * (wm - 1.0) * wm * (wm + wp))
-    bm1 = 2.0 * (wm - wp) / (h2 * (wm - 1.0) * (wp + 1.0))
-    b0 = -2.0 * (wm - wp + 1.0) / (h2 * wm * wp)
-    bp1 = 2.0 * (wm + 1.0) / (h2 * (wm + wp) * (wp * wp + wp))
+    check_geometry(h, None, wp=wp, wm_minus_1=wm - 1.0)
     return WeightSet(
-        np.array([bm2, bm1, b0, bp1]), np.array([-wm * h, -h, 0.0, wp * h])
+        second_weight_rows(h, wm, wp), np.array([-wm * h, -h, 0.0, wp * h])
     )
 
 

@@ -68,6 +68,14 @@ class TestConfigParsing:
             from_dict(raw)
         assert any("time-independent" in v for v in err.value.violations)
 
+    def test_short_theta_list_reported_not_raised(self):
+        raw = tiny_config_dict()
+        raw["model"]["theta_d"] = [0.05, 0.1]
+        raw["solver"]["solver"] = "krylov"
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert any("3 coefficients" in v for v in err.value.violations)
+
     def test_put_with_pinning_boundary_rejected(self):
         raw = tiny_config_dict()
         raw["option"]["kind"] = "put"

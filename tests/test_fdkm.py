@@ -3,8 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from fxhhw.errors import InvalidArgumentError
-from fxhhw.fdkm import FdkmConfig, assemble_fdkm_operator, uniform_grid
-from fxhhw.operators import first_derivative_matrix, second_derivative_matrix
+from fxhhw.fdkm import FdkmConfig, uniform_grid
+from fxhhw.operators import (
+    assemble_operator,
+    first_derivative_matrix,
+    second_derivative_matrix,
+)
 from conftest import experiment1_model
 
 
@@ -56,9 +60,8 @@ class TestMixedDerivativeCross:
 class TestFdkmOperator:
     def test_assembles_with_fd_rows(self):
         cfg = FdkmConfig(m=(8, 6, 6, 6), s_max=1400.0)
-        op = assemble_fdkm_operator(cfg, experiment1_model())
+        op = assemble_operator(uniform_grid(cfg), experiment1_model(), fd_limit=True)
         assert op.meta["fd_limit"] is True
-        assert op.meta["method"] == "fdkm"
         A = op.matrix(0.0)
         assert np.all(np.isfinite(A.data))
         assert op.nnz <= 37 * op.n

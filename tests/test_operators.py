@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,15 +14,77 @@ from fxhhw.operators import (
     face_masks,
     first_derivative_matrix,
     impose_boundaries,
-    read_triplets,
     second_derivative_matrix,
-    write_triplets,
 )
-from conftest import experiment1_model, experiment_grid
+from fxhhw.config import bundled_config_path, from_yaml
+from fxhhw.stencils import (
+    ShapeParameterWarning,
+    StencilGeometry1,
+    StencilGeometry2,
+    fd_limit_first_weights,
+    fd_limit_second_weights,
+    first_derivative_weights,
+    second_derivative_weights,
+    shape_parameters,
+)
+from conftest import experiment1_model, experiment3_model, experiment_grid
 
 
 def small_grid(m=(6, 5, 4, 4)):
     return experiment_grid(m)
+
+
+AXES_RF_FIRST = ("rf", "rd", "v", "s")
+
+
+def _field_shape(g):
+    return g.shape[::-1]
+
+
+def _outer4(vecs):
+    """x_rf (x) x_rd (x) x_v (x) x_s as an (m4, m3, m2, m1) array."""
+    return np.einsum("a,b,c,d->abcd", *vecs)
+
+
+def _oracle_axis_matrices(g):
+    """Per axis: identity, first- and second-derivative matrix (order 0, 1, 2)."""
+    shapes = shape_parameters(g)
+    out = {}
+    for ax in AXES_RF_FIRST:
+        nodes, c = g.axis_nodes(ax), shapes.for_axis(ax)
+        out[ax] = (
+            sp.identity(nodes.size, format="csr"),
+            first_derivative_matrix(nodes, c),
+            second_derivative_matrix(nodes, c),
+        )
+    return out
+
+
+def _pde_terms(g, p, tau):
+    """(coefficient field, derivative orders in (s, v, rd, rf)) of the PDE at tau."""
+    s = g.s_nodes[None, None, None, :]
+    v = g.v_nodes[None, None, :, None]
+    rd = g.rd_nodes[None, :, None, None]
+    rf = g.rf_nodes[:, None, None, None]
+    sqv = np.sqrt(v)
+    th_d, th_f = float(p.theta_d(tau)), float(p.theta_f(tau))
+    return [
+        (0.5 * s**2 * v, (2, 0, 0, 0)),
+        (0.5 * p.gamma**2 * v, (0, 2, 0, 0)),
+        (0.5 * p.eta_d**2, (0, 0, 2, 0)),
+        (0.5 * p.eta_f**2, (0, 0, 0, 2)),
+        (p.rho_sv * p.gamma * s * v, (1, 1, 0, 0)),
+        (p.rho_sd * p.eta_d * s * sqv, (1, 0, 1, 0)),
+        (p.rho_sf * p.eta_f * s * sqv, (1, 0, 0, 1)),
+        (p.rho_vd * p.gamma * p.eta_d * sqv, (0, 1, 1, 0)),
+        (p.rho_vf * p.gamma * p.eta_f * sqv, (0, 1, 0, 1)),
+        (p.rho_df * p.eta_d * p.eta_f, (0, 0, 1, 1)),
+        ((rd - rf) * s, (1, 0, 0, 0)),
+        (p.kappa * (p.vbar - v), (0, 1, 0, 0)),
+        (p.lambda_d * (th_d - rd), (0, 0, 1, 0)),
+        (p.lambda_f * (th_f - rf) - p.rho_sf * p.eta_f * sqv, (0, 0, 0, 1)),
+        (-rd, (0, 0, 0, 0)),
+    ]
 
 
 class TestFirstDerivativeMatrix:
@@ -123,6 +187,54 @@ class TestSecondDerivativeMatrix:
             second_derivative_matrix(np.array([0.0, 1.0, 2.0]), 5.0)
 
 
+class TestVectorizedRows:
+    @pytest.mark.parametrize("axis", ["s", "v", "rd", "rf"])
+    @pytest.mark.parametrize("fd", [False, True])
+    def test_interior_rows_equal_weight_sets_bitwise(self, axis, fd):
+        # The matrix builders evaluate the closed forms on arrays; every
+        # interior row must equal the per-geometry WeightSet exactly.
+        g = experiment_grid((28, 20, 14, 14))
+        x = g.axis_nodes(axis)
+        c = None if fd else shape_parameters(g).for_axis(axis)
+        A1 = first_derivative_matrix(x, c).toarray()
+        A2 = second_derivative_matrix(x, c).toarray()
+        d = np.diff(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShapeParameterWarning)
+            for i in range(1, x.size - 1):
+                h, w = d[i - 1], d[i] / d[i - 1]
+                ws = (
+                    fd_limit_first_weights(h, w)
+                    if fd
+                    else first_derivative_weights(StencilGeometry1(h=h, omega_plus=w, c=c))
+                )
+                assert np.array_equal(A1[i, i - 1 : i + 2], ws.weights)
+            for i in range(2, x.size - 1):
+                h = d[i - 1]
+                wm, wp = (x[i] - x[i - 2]) / h, d[i] / h
+                ws = (
+                    fd_limit_second_weights(h, wm, wp)
+                    if fd
+                    else second_derivative_weights(
+                        StencilGeometry2(h=h, w_minus2=wm, w_plus1=wp, c=c)
+                    )
+                )
+                assert np.array_equal(A2[i, i - 2 : i + 2], ws.weights)
+
+    @pytest.mark.parametrize("c", [10.0, None])
+    @pytest.mark.parametrize("builder", [first_derivative_matrix, second_derivative_matrix])
+    def test_degenerate_step_ratio_rejected(self, builder, c):
+        # increments pass the degeneracy check, but one step ratio is 1e-9
+        nodes = np.array([0.0, 1.0, 2.0, 2.0 + 1e-9, 3.0, 4.0])
+        with pytest.raises(InvalidArgumentError):
+            builder(nodes, c)
+
+    @pytest.mark.parametrize("builder", [first_derivative_matrix, second_derivative_matrix])
+    def test_shape_below_step_rejected(self, builder):
+        with pytest.raises(InvalidArgumentError):
+            builder(np.linspace(0.0, 1.0, 6), 0.1)
+
+
 class TestKroneckerComposition:
     def test_mixed_derivative_on_separable_function(self):
         g = small_grid()
@@ -130,7 +242,16 @@ class TestKroneckerComposition:
         op = assemble_operator(g, par)
         # rebuild the s-v mixed factor directly and compare actions
         m1, m2, m3, m4 = g.shape
-        from fxhhw.stencils import shape_parameters
+        from fxhhw.stencils import (
+    ShapeParameterWarning,
+    StencilGeometry1,
+    StencilGeometry2,
+    fd_limit_first_weights,
+    fd_limit_second_weights,
+    first_derivative_weights,
+    second_derivative_weights,
+    shape_parameters,
+)
 
         shapes = shape_parameters(g)
         M1s = first_derivative_matrix(g.s_nodes, shapes.c_s)
@@ -164,7 +285,16 @@ class TestKroneckerComposition:
         op = assemble_operator(g, par)
         A = op.matrix(0.0).toarray()
 
-        from fxhhw.stencils import shape_parameters
+        from fxhhw.stencils import (
+    ShapeParameterWarning,
+    StencilGeometry1,
+    StencilGeometry2,
+    fd_limit_first_weights,
+    fd_limit_second_weights,
+    first_derivative_weights,
+    second_derivative_weights,
+    shape_parameters,
+)
 
         shapes = shape_parameters(g)
         M1s = first_derivative_matrix(g.s_nodes, shapes.c_s).toarray()
@@ -193,6 +323,48 @@ class TestKroneckerComposition:
         idx = offset + np.arange(n2)
         block = A[np.ix_(idx, idx)]
         np.testing.assert_allclose(block, H, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("model", [experiment1_model, experiment3_model])
+    def test_full_operator_matches_dense_oracle(self, model):
+        # All six correlations nonzero; the oracle sums diag(coefficient
+        # field) @ kron(1D matrices) densely, term by term in PDE form.
+        g = small_grid()
+        par = model()
+        op = assemble_operator(g, par)
+        d = _oracle_axis_matrices(g)
+        for tau in (0.0, 0.3):
+            A = op.matrix(tau)
+            B = np.zeros(A.shape)
+            for coef, orders in _pde_terms(g, par, tau):
+                f = [d[ax][k].toarray() for ax, k in zip(AXES_RF_FIRST, orders[::-1])]
+                K = np.kron(np.kron(np.kron(f[0], f[1]), f[2]), f[3])
+                B += np.broadcast_to(coef, _field_shape(g)).reshape(-1)[:, None] * K
+            scale = np.abs(B).sum(axis=1, keepdims=True)
+            assert np.all(np.abs(A.toarray() - B) <= 1e-12 * scale)
+            assert A.nnz == np.count_nonzero(B)
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2", "experiment3"])
+    def test_separable_action_matches_oracle(self, name, rng):
+        # A (x_rf (x) x_rd (x) x_v (x) x_s) is a sum of outer products of 1D
+        # mat-vecs, each scaled by its coefficient field; row-scaled bound.
+        cfg = from_yaml(bundled_config_path(name))
+        g = cfg.grid()
+        op = assemble_operator(g, cfg.model, theta_mode=cfg.theta_mode)
+        d = _oracle_axis_matrices(g)
+        for tau in (0.0, 0.2, 0.45):
+            A = op.matrix(tau)
+            absA = abs(A)
+            for _ in range(3):
+                xs = {ax: rng.standard_normal(len(g.axis_nodes(ax))) for ax in AXES_RF_FIRST}
+                x = _outer4([xs[ax] for ax in AXES_RF_FIRST])
+                y = np.zeros(_field_shape(g))
+                for coef, orders in _pde_terms(g, cfg.model, tau):
+                    y += coef * _outer4(
+                        [d[ax][k] @ xs[ax] for ax, k in zip(AXES_RF_FIRST, orders[::-1])]
+                    )
+                got = A @ x.reshape(-1)
+                bound = 1e-12 * (absA @ np.abs(x.reshape(-1)))
+                assert np.all(np.abs(got - y.reshape(-1)) <= bound)
 
     def test_near_zero_coefficients_give_near_zero_operator(self):
         # All diffusions/drifts vanish and the rate axes collapse to ~0, so
@@ -322,7 +494,16 @@ class TestImposeBoundaries:
         row = A[node].toarray().ravel()
         nz = np.flatnonzero(row)
         np.testing.assert_array_equal(nz, [node - 1, node])
-        from fxhhw.stencils import shape_parameters
+        from fxhhw.stencils import (
+    ShapeParameterWarning,
+    StencilGeometry1,
+    StencilGeometry2,
+    fd_limit_first_weights,
+    fd_limit_second_weights,
+    first_derivative_weights,
+    second_derivative_weights,
+    shape_parameters,
+)
 
         c = shape_parameters(g).c_s
         np.testing.assert_allclose(row[nz], [-4 / c**2, 2 / c**2], rtol=1e-12)
@@ -355,13 +536,3 @@ class TestSpectralDiagnosticsOnBenchmarkGrid:
         assert -296.29 * 2 < rep.re_lambda_max < -296.29 / 2
         # the actual evolution is stable even though sym(A) is indefinite
         assert rep.rightmost_re is not None and rep.rightmost_re < 0
-
-
-class TestTripletExport:
-    def test_round_trip(self, tmp_path, par1):
-        g = small_grid()
-        A = assemble_operator(g, par1).matrix(0.0)
-        path = tmp_path / "op.txt"
-        write_triplets(A, path)
-        B = read_triplets(path)
-        assert (A != B).nnz == 0

@@ -80,6 +80,22 @@ class TestFirstDerivativeWeights:
         with pytest.raises(InvalidArgumentError):
             g1(0.1, 1e-9, 1.0)
 
+    @pytest.mark.parametrize("omega", [0.5, 1.6, 2.4])
+    def test_printed_h_over_c2_term(self, omega):
+        # Pins the printed correction itself: (closed form - FD limit) c^2/h
+        # is (w(2w-5)/(3(w+1)), -2(w-1)/3, (5w-2)/(3(w+1))); at w = 1.6 that
+        # is (-0.369, -0.400, +0.769).
+        h, c = 0.1, 1.0
+        w = omega
+        closed = first_derivative_weights(g1(h, w, c)).weights
+        fd = fd_limit_first_weights(h, w).weights
+        expected = [
+            w * (2 * w - 5) / (3 * (w + 1)),
+            -2 * (w - 1) / 3,
+            (5 * w - 2) / (3 * (w + 1)),
+        ]
+        np.testing.assert_allclose((closed - fd) * c * c / h, expected, rtol=0, atol=1e-10)
+
     def test_matches_oracle_at_example_point(self):
         # Oracle solution for nodes {-0.1, 0, 0.15}, c=2 (frozen from the
         # dense collocation solve).  The printed closed forms share the 1/h
