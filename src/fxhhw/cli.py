@@ -37,13 +37,25 @@ def _cmd_sweep(args):
     return 0
 
 
+def _parse_at(text):
+    """``'rd=0.1,rf=0.1'`` -> {axis: value}; every bad item is reported."""
+    fixed, violations = {}, []
+    for item in text.split(","):
+        key, sep, val = (part.strip() for part in item.partition("="))
+        try:
+            if not sep or key not in runner.SLICE_AXES:
+                raise ValueError
+            fixed[key] = float(val)
+        except ValueError:
+            violations.append(f"--at item {item!r} is not axis=number (axis s, v, rd or rf)")
+    if violations:
+        raise ConfigError(violations)
+    return fixed
+
+
 def _cmd_export(args):
+    fixed = _parse_at(args.at) if args.at else {}
     field = SolutionField.load(args.result)
-    fixed = {}
-    if args.at:
-        for item in args.at.split(","):
-            key, val = item.split("=")
-            fixed[key.strip()] = float(val)
     n = runner.surface_export(field, args.slice, args.out, fixed=fixed)
     sys.stdout.write(f"wrote {n} rows to {args.out}\n")
     return 0

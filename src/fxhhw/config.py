@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -13,8 +13,13 @@ from .errors import ConfigError
 from .fdkm import FdkmConfig, uniform_grid
 from .grids import AxisSpec, Grid4D, build_grid
 from .mc import McConfig
-from .model import ModelParams, OptionSpec, correlation_matrix, levels_time_dependent
-from .operators import BOUNDARY_MODES, THETA_MODES
+from .model import ModelParams, OptionSpec, correlation_matrix
+from .operators import (
+    BOUNDARY_MODES,
+    THETA_MODES,
+    put_pinning_violation,
+    time_dependent_operator,
+)
 from .pricing import SOLVERS
 
 METHODS = ("pm", "fdkm")
@@ -72,8 +77,7 @@ class ExperimentConfig:
         )
 
     def with_m(self, m):
-        out = ExperimentConfig(**{**self.__dict__, "m": tuple(int(x) for x in m)})
-        return out
+        return replace(self, m=tuple(int(x) for x in m))
 
     def canonical_dict(self):
         d = dict(self.__dict__)
@@ -147,18 +151,16 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     theta_f = tuple(md.get("theta_f", (0.0, 0.0, 0.0)))
     if (
         solver == "krylov"
-        and theta_mode == "time_dependent"
         and len(theta_d) == len(theta_f) == 3  # else ModelParams reports the length
-        and levels_time_dependent(theta_d, theta_f)
+        and time_dependent_operator(theta_mode, theta_d, theta_f)
     ):
         violations.append(
             "solver 'krylov' requires a time-independent operator; "
             "use theta_mode 'constant_approx' or solver 'midpoint'"
         )
-    if boundary in ("dirichlet", "neumann_flux") and kind == "put":
-        violations.append(
-            f"boundary {boundary!r} pins s=0 at the payoff, inconsistent with a put; use 'abc'"
-        )
+    pinning = put_pinning_violation(boundary, kind)
+    if pinning:
+        violations.append(pinning)
 
     corr = md.get("correlation", {})
     model = option = None

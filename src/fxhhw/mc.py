@@ -48,9 +48,6 @@ class McEstimate:
     stderr: float
     paths: int
 
-    def interval(self, k=3.0):
-        return (self.price - k * self.stderr, self.price + k * self.stderr)
-
 
 def _chol(R):
     try:

@@ -139,11 +139,6 @@ class ModelParams:
             constant_level_approx(self.theta_f_params),
         )
 
-    @property
-    def theta_time_dependent(self):
-        """True when either mean-reversion level actually varies with tau."""
-        return levels_time_dependent(self.theta_d_params, self.theta_f_params)
-
 
 @dataclass(frozen=True)
 class FellerReport:

@@ -19,7 +19,7 @@ import dataclasses
 import functools
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +32,27 @@ from .errors import (
     InvalidArgumentError,
 )
 from .grids import Grid4D
-from .model import ModelParams, OptionSpec
-from .stencils import ShapeParams, ShapeParameterWarning
+from .model import ModelParams, OptionSpec, levels_time_dependent
+from .stencils import ShapeParameterWarning
 
 AXES = ("s", "v", "rd", "rf")
 BOUNDARY_MODES = ("dirichlet", "neumann_flux", "abc")
 THETA_MODES = ("time_dependent", "constant_approx")
+
+
+def time_dependent_operator(theta_mode, theta_d_params, theta_f_params):
+    """True when A(tau) keeps its theta parts: the levels vary and are not folded."""
+    return theta_mode == "time_dependent" and levels_time_dependent(
+        theta_d_params, theta_f_params
+    )
+
+
+def put_pinning_violation(mode, kind):
+    """The message for a put under a mode that pins s=0, else None."""
+    if mode in ("dirichlet", "neumann_flux") and kind == "put":
+        return (f"boundary mode {mode!r} pins s=0 at the payoff, which is wrong for a "
+                "put whose s=0 value decays with the domestic discount; use mode 'abc'")
+    return None
 
 
 def _check_increments(nodes):
@@ -222,17 +237,20 @@ def face_masks(grid: Grid4D):
 
 @dataclass
 class AssembledOperator:
-    """The N x N spatial operator, split into theta-independent and theta parts."""
+    """The N x N spatial operator, split into theta-independent and theta parts.
+
+    ``d1`` and ``d2`` hold the per-axis 1D first- and second-derivative
+    matrices the operator was assembled from (no boundary rows).
+    """
 
     base: sp.csr_matrix
     theta_d_part: sp.csr_matrix | None
     theta_f_part: sp.csr_matrix | None
     grid: Grid4D
     params: ModelParams
-    shapes: ShapeParams | None
-    boundary_mode: str | None = None
+    d1: dict[str, sp.csr_matrix]
+    d2: dict[str, sp.csr_matrix]
     pinned: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self):
@@ -280,12 +298,11 @@ def assemble_operator(
     grid: Grid4D,
     params: ModelParams,
     theta_mode="time_dependent",
-    shapes=None,
     fd_limit=False,
 ) -> AssembledOperator:
     """Assemble the spatial operator on ``grid`` (no boundary rows yet).
 
-    ``shapes`` defaults to the per-axis rule tied to the largest increment;
+    Shape parameters follow the per-axis rule tied to the largest increment;
     ``fd_limit=True`` uses classical FD weights everywhere (uniform-grid
     baseline scheme).  ``theta_mode`` is ``"time_dependent"`` or
     ``"constant_approx"`` (constant levels from the tau=1 evaluation).
@@ -295,11 +312,9 @@ def assemble_operator(
     if grid.v_nodes[0] < 0:
         raise InvalidArgumentError("variance axis contains negative nodes")
     if fd_limit:
-        shapes = None
         c_of = dict.fromkeys(AXES)
     else:
-        if shapes is None:
-            shapes = stencils.shape_parameters(grid)
+        shapes = stencils.shape_parameters(grid)
         c_of = {ax: shapes.for_axis(ax) for ax in AXES}
 
     D1 = {ax: first_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
@@ -309,36 +324,28 @@ def assemble_operator(
         for rows in _term_table(grid, params, D1, D2).values()
     )
 
-    meta = {
-        "ordering": "s fastest, then v, then r_d, then r_f",
-        "theta_mode": theta_mode,
-        "fd_limit": fd_limit,
-        # kept for the neumann_flux boundary rows
-        "d2": D2,
-    }
-    if theta_mode == "constant_approx" or not params.theta_time_dependent:
+    if not time_dependent_operator(
+        theta_mode, params.theta_d_params, params.theta_f_params
+    ):
         if theta_mode == "constant_approx":
             th_d, th_f = params.theta_constant_approx()
         else:
             th_d, th_f = float(params.theta_d(0.0)), float(params.theta_f(0.0))
         base = base + th_d * theta_d_part + th_f * theta_f_part
         theta_d_part = theta_f_part = None
-        meta["theta_values"] = (th_d, th_f)
 
     if not np.all(np.isfinite(base.data)):
         raise AssemblyError("assembled operator contains non-finite entries")
 
-    op = AssembledOperator(
+    return AssembledOperator(
         base=base,
         theta_d_part=theta_d_part,
         theta_f_part=theta_f_part,
         grid=grid,
         params=params,
-        shapes=shapes,
-        meta=meta,
+        d1=D1,
+        d2=D2,
     )
-    op.meta["nnz"] = op.nnz
-    return op
 
 
 def _zero_rows(A, mask):
@@ -374,14 +381,9 @@ def impose_boundaries(
     """
     if mode not in BOUNDARY_MODES:
         raise ConfigError([f"unknown boundary mode {mode!r}"])
-    if mode in ("dirichlet", "neumann_flux") and option.kind == "put":
-        raise ConfigError(
-            [
-                f"boundary mode {mode!r} pins s=0 at the payoff, which is wrong "
-                "for a put whose s=0 value decays with the domestic discount; "
-                "use mode 'abc'"
-            ]
-        )
+    violation = put_pinning_violation(mode, option.kind)
+    if violation:
+        raise ConfigError([violation])
 
     masks = face_masks(op.grid)
     base, bd, bf = op.base, op.theta_d_part, op.theta_f_part
@@ -396,7 +398,7 @@ def impose_boundaries(
         pinned = masks["s_lo"]
         base = _zero_rows(base, pinned)
         taken = pinned.copy()
-        d2 = {ax: _kron_term(1.0, {ax: op.meta["d2"][ax]}, op.grid) for ax in AXES}
+        d2 = {ax: _kron_term(1.0, {ax: op.d2[ax]}, op.grid) for ax in AXES}
         for face in ("s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi"):
             rows = masks[face] & ~taken
             base = _replace_rows(base, rows, d2[face.split("_")[0]])
@@ -404,14 +406,6 @@ def impose_boundaries(
     if mode != "abc":
         bd, bf = (None if A is None else _zero_rows(A, taken) for A in (bd, bf))
 
-    out = dataclasses.replace(
-        op,
-        base=base,
-        theta_d_part=bd,
-        theta_f_part=bf,
-        boundary_mode=mode,
-        pinned=pinned,
-        meta=dict(op.meta, boundary_mode=mode),
+    return dataclasses.replace(
+        op, base=base, theta_d_part=bd, theta_f_part=bf, pinned=pinned
     )
-    out.meta["nnz"] = out.nnz
-    return out

@@ -53,11 +53,18 @@ def payoff_vector(grid: Grid4D, option: OptionSpec):
 
 @dataclass
 class SolutionField:
-    """Option values on the 4D grid at backward time tau."""
+    """Option values on the 4D grid at backward time tau.
+
+    ``operator`` is the boundary-imposed operator the solve integrated;
+    a field read back with :meth:`load` has none.
+    """
 
     values: np.ndarray
     grid: Grid4D
     tau: float
+    operator: operators.AssembledOperator | None = dataclasses.field(
+        default=None, repr=False
+    )
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
@@ -174,12 +181,26 @@ def price(
 ) -> SolutionField:
     """Solve the backward PDE from the payoff to tau = maturity.
 
-    ``solver='auto'`` picks the Krylov exponential when the assembled
-    operator is time-independent and the midpoint stepper otherwise.  The
-    initial condition is the raw (unsmoothed) payoff.
+    ``solver='auto'`` picks the Krylov exponential when the operator is
+    time-independent and the midpoint stepper otherwise; the solver choice is
+    checked before anything is assembled.  The initial condition is the raw
+    (unsmoothed) payoff.  The returned field carries the operator it solved.
     """
     if solver not in SOLVERS:
         raise ConfigError([f"unknown solver {solver!r}"])
+    time_dependent = operators.time_dependent_operator(
+        theta_mode, model.theta_d_params, model.theta_f_params
+    )
+    if solver == "auto":
+        solver = "midpoint" if time_dependent else "krylov"
+    if solver == "krylov" and time_dependent:
+        raise ConfigError(["krylov solver requires a time-independent operator; use "
+                           "theta_mode='constant_approx' or the midpoint solver"])
+    T = option.maturity
+    if solver == "midpoint":
+        if delta_tau is None:
+            raise ConfigError(["midpoint solver requires delta_tau"])
+        steps = MidpointConfig.from_horizon(T, delta_tau)
     fl = feller_check(model)
     if not fl.satisfied:
         warnings.warn(
@@ -194,28 +215,15 @@ def price(
     # The operator without boundary rows is garbage from here on.
     _release_freed_heap()
 
-    if solver == "auto":
-        solver = "midpoint" if op.is_time_dependent else "krylov"
-    if solver == "krylov" and op.is_time_dependent:
-        raise ConfigError(
-            [
-                "krylov solver requires a time-independent operator; use "
-                "theta_mode='constant_approx' or the midpoint solver"
-            ]
-        )
-
     v0 = payoff_vector(grid, option)
-    T = option.maturity
     if solver == "krylov":
         cfg = krylov or KrylovConfig()
         v = krylov_expm_action(
             op.matrix(0.0), v0, dataclasses.replace(cfg, tau=T * cfg.tau)
         )
     else:
-        if delta_tau is None:
-            raise ConfigError(["midpoint solver requires delta_tau"])
-        v = modified_midpoint_solve(op, v0, MidpointConfig.from_horizon(T, delta_tau))
-    return SolutionField(values=v, grid=grid, tau=T)
+        v = modified_midpoint_solve(op, v0, steps)
+    return SolutionField(values=v, grid=grid, tau=T, operator=op)
 
 
 @dataclass
@@ -232,14 +240,17 @@ class GreeksSlice:
     rf: float
 
 
-def greeks(field: SolutionField, rd=None, rf=None, shapes=None) -> GreeksSlice:
+def greeks(field: SolutionField, rd=None, rf=None) -> GreeksSlice:
     """Greeks on the (s, v) slice at fixed (r_d, r_f).
 
     The slice is obtained by linear interpolation across the rate axes, then
-    differentiated with the same RBF-FD matrices used by the solver.
+    differentiated with the 1D first-derivative matrices of the operator
+    the field was solved with, so a loaded field (no operator) is refused.
     """
-    from . import stencils
-
+    if field.operator is None:
+        raise InvalidArgumentError(
+            "greeks need the operator of a solved field; a loaded field has none"
+        )
     g = field.grid
     rd = float(g.rd_nodes[0] if rd is None else rd)
     rf = float(g.rf_nodes[0] if rf is None else rf)
@@ -253,9 +264,7 @@ def greeks(field: SolutionField, rd=None, rf=None, shapes=None) -> GreeksSlice:
     cube = field.reshape4()[np.ix_(fi, di)]  # (2, 2, m2, m1)
     slice_vals = np.einsum("f,d,fdvs->vs", fw, dw, cube)
 
-    shapes = shapes or stencils.shape_parameters(g)
-    ms = operators.first_derivative_matrix(g.s_nodes, shapes.c_s)
-    mv = operators.first_derivative_matrix(g.v_nodes, shapes.c_v)
+    ms, mv = field.operator.d1["s"], field.operator.d1["v"]
     delta = slice_vals @ ms.T.toarray()
     vega = mv.toarray() @ slice_vals
     vanna = mv.toarray() @ delta

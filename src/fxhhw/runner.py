@@ -6,7 +6,7 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .mc import simulate_price
 from .pricing import SolutionField
 
 WORKERS_ENV = "FXHHW_WORKERS"
+# Axis name -> position in the grid shape (m1, m2, m3, m4).
+SLICE_AXES = {"s": 0, "v": 1, "rd": 2, "rf": 3}
 
 
 @dataclass
@@ -110,29 +112,24 @@ def solve_field(cfg: ExperimentConfig) -> SolutionField:
     )
 
 
-def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentReport:
-    """Execute one experiment and emit CSV + human-readable table."""
+def _solve_row(cfg: ExperimentConfig):
+    """Solve the config and price its queries: (field, ConvergenceRow)."""
     t0 = time.perf_counter()
     fld = solve_field(cfg)
     elapsed = time.perf_counter() - t0
+    values = [fld.interpolate(q.point, method=cfg.interpolation) for q in cfg.queries]
+    errors = [
+        None if q.reference is None else pricing.relative_error(v, q.reference)
+        for q, v in zip(cfg.queries, values)
+    ]
+    return fld, ConvergenceRow(m=cfg.m, values=values, rel_errors=errors, elapsed=elapsed)
 
-    values, errors = [], []
-    for qp in cfg.queries:
-        v = fld.interpolate(qp.point, method=cfg.interpolation)
-        values.append(v)
-        errors.append(
-            None if qp.reference is None else pricing.relative_error(v, qp.reference)
-        )
-    row = ConvergenceRow(m=cfg.m, values=values, rel_errors=errors, elapsed=elapsed)
+
+def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentReport:
+    """Execute one experiment and emit CSV + human-readable table."""
+    fld, row = _solve_row(cfg)
     if cfg.compute_lambda_max:
-        from . import operators
-
-        op = operators.assemble_operator(
-            fld.grid, cfg.model, theta_mode=cfg.theta_mode,
-            fd_limit=(cfg.method == "fdkm"),
-        )
-        op = operators.impose_boundaries(op, cfg.boundary, cfg.option)
-        rep = estimate_lambda_max(op)
+        rep = estimate_lambda_max(fld.operator)
         row.re_lambda_max = rep.re_lambda_max
         row.sym_lambda_max = rep.sym_lambda_max
 
@@ -146,10 +143,7 @@ def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentRepo
     if cfg.mc is not None:
         for qp, label in zip(cfg.queries, report.query_labels):
             s, v0q, rd, rf = qp.point
-            mdl = cfg.model
-            mc_model = type(mdl)(
-                **{**mdl.__dict__, "s0": s, "v0": v0q, "rd0": rd, "rf0": rf}
-            )
+            mc_model = replace(cfg.model, s0=s, v0=v0q, rd0=rd, rf0=rf)
             report.mc_estimates.append((label, simulate_price(mc_model, cfg.option, cfg.mc)))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -163,16 +157,7 @@ def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentRepo
 
 def _sweep_entry(args):
     cfg, m = args
-    sub = cfg.with_m(m)
-    t0 = time.perf_counter()
-    fld = solve_field(sub)
-    elapsed = time.perf_counter() - t0
-    values = [fld.interpolate(q.point, method=cfg.interpolation) for q in cfg.queries]
-    errors = [
-        None if q.reference is None else pricing.relative_error(v, q.reference)
-        for q, v in zip(cfg.queries, values)
-    ]
-    return ConvergenceRow(m=sub.m, values=values, rel_errors=errors, elapsed=elapsed)
+    return _solve_row(cfg.with_m(m))[1]
 
 
 def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), workers=None,
@@ -188,10 +173,9 @@ def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), workers=None,
     for a, b in zip(ladder, ladder[1:]):
         if b != 2 * a:
             raise ConfigError([f"sweep ladder must double at each rung, got {ladder}"])
-    axis_pos = {"s": 0, "v": 1, "rd": 2, "rf": 3}
-    if axis not in axis_pos:
+    if axis not in SLICE_AXES:
         raise ConfigError([f"unknown sweep axis {axis!r}"])
-    pos = axis_pos[axis]
+    pos = SLICE_AXES[axis]
     ms = []
     for size in ladder:
         m = list(cfg.m)
@@ -246,9 +230,6 @@ def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), workers=None,
             f"mean ROC over {len(defined)} defined entries: {np.mean(defined):.3f}"
         )
     return report
-
-
-SLICE_AXES = {"s": 0, "v": 1, "rd": 2, "rf": 3}
 
 
 def surface_export(field: SolutionField, slice_spec, path, fixed=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fxhhw import cli, runner
+from fxhhw import cli, operators, runner
 from fxhhw.config import bundled_config_path, from_dict, from_yaml
 from fxhhw.errors import ConfigError
 from fxhhw.pricing import SolutionField
@@ -241,6 +241,26 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "slice.csv").exists()
 
+    @pytest.mark.parametrize(
+        "at, bad",
+        [
+            ("rd", ["rd"]),
+            ("rd=abc", ["rd=abc"]),
+            ("x=0.1", ["x=0.1"]),
+            ("rd,rf=0.1,x=0.1,rf=abc", ["rd", "x=0.1", "rf=abc"]),
+        ],
+    )
+    def test_export_at_violations_exit_two(self, tiny_field, tmp_path, capsys, at, bad):
+        tiny_field.save(tmp_path / "f.npz")
+        code = cli.main(["export", str(tmp_path / "f.npz"), "--slice", "sv",
+                         "--at", at, "--out", str(tmp_path / "slice.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(bad)
+        for line, item in zip(err, bad):
+            assert line.startswith(f"config error: --at item {item!r} ")
+        assert not (tmp_path / "slice.csv").exists()
+
     def test_sweep_subcommand_with_synthetic_ladder(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.yaml"
         raw = tiny_config_dict()
@@ -266,6 +286,34 @@ class TestRunnerDiagnostics:
         row = report.rows[0]
         assert row.sym_lambda_max is not None
         assert row.re_lambda_max is not None and row.re_lambda_max < 0
+
+    def test_diagnostics_reuse_the_solved_operator(self, monkeypatch):
+        calls = []
+        assemble = operators.assemble_operator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "assemble_operator", counting)
+        raw = tiny_config_dict()
+        raw["compute_lambda_max"] = True
+        raw["grid"]["m"] = [8, 5, 4, 4]
+        report = runner.run(from_dict(raw))
+        assert report.rows[0].sym_lambda_max is not None
+        assert len(calls) == 1
+
+    def test_sparse_diagnostics_csv_byte_identical(self, tmp_path):
+        # experiment-2 grid: N = 2880 takes the ARPACK path
+        cfg = from_yaml(bundled_config_path("experiment2"))
+        cfg.mc = None
+        cfg.compute_lambda_max = True
+        for out in ("a", "b"):
+            runner.run(cfg, out_dir=str(tmp_path / out))
+        name = f"{cfg.name}_results.csv"
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes()
+        assert list(csv.reader(first.decode().splitlines()))[1][8] != ""
 
     def test_parallel_sweep_matches_sequential(self):
         raw = tiny_config_dict()

@@ -61,7 +61,10 @@ class TestFdkmOperator:
     def test_assembles_with_fd_rows(self):
         cfg = FdkmConfig(m=(8, 6, 6, 6), s_max=1400.0)
         op = assemble_operator(uniform_grid(cfg), experiment1_model(), fd_limit=True)
-        assert op.meta["fd_limit"] is True
+        g = op.grid
+        for ax in ("s", "v", "rd", "rf"):
+            want = first_derivative_matrix(g.axis_nodes(ax), None)
+            assert (op.d1[ax] != want).nnz == 0
         A = op.matrix(0.0)
         assert np.all(np.isfinite(A.data))
         assert op.nnz <= 37 * op.n

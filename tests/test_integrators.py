@@ -3,14 +3,17 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from fxhhw.config import bundled_config_path, from_yaml
 from fxhhw.errors import InstabilityError, InvalidArgumentError, KrylovConvergenceError
 from fxhhw.integrators import (
+    DENSE_EIG_CUTOFF,
     KrylovConfig,
     MidpointConfig,
     estimate_lambda_max,
     krylov_expm_action,
     modified_midpoint_solve,
 )
+from fxhhw.operators import assemble_operator, impose_boundaries
 
 
 def random_stable_sparse(rng, n=50, density=0.15, shift=3.0):
@@ -188,6 +191,18 @@ class TestEstimateLambdaMax:
         assert rep.sym_lambda_max == pytest.approx(-1.0, rel=1e-12)
         assert rep.rightmost_re == pytest.approx(-1.0, rel=1e-12)
         assert rep.re_lambda_max == pytest.approx(-3.0, rel=1e-12)
+
+    def test_sparse_path_repeatable(self):
+        # ARPACK starts from a fixed vector, so repeated calls in one
+        # process agree exactly (experiment-2 grid, N above the dense cutoff)
+        cfg = from_yaml(bundled_config_path("experiment2"))
+        op = impose_boundaries(
+            assemble_operator(cfg.grid(), cfg.model), cfg.boundary, cfg.option
+        )
+        assert op.n > DENSE_EIG_CUTOFF
+        first = estimate_lambda_max(op)
+        assert first.converged
+        assert estimate_lambda_max(op) == first
 
     def test_large_sparse_path(self, rng):
         d = -np.linspace(1.0, 500.0, 2000)

@@ -11,6 +11,7 @@ from fxhhw.model import (
     OptionSpec,
     correlation_matrix,
     feller_check,
+    levels_time_dependent,
     validate_correlation,
 )
 from conftest import experiment1_model
@@ -21,19 +22,19 @@ class TestThetaLevels:
         for tau in (0.0, 0.5, 1.0, 7.3):
             assert par1.theta_d(tau) == pytest.approx(0.05, rel=1e-15)
             assert par1.theta_f(tau) == pytest.approx(0.05, rel=1e-15)
-        assert not par1.theta_time_dependent
+        assert not levels_time_dependent(par1.theta_d_params, par1.theta_f_params)
 
     def test_experiment3_level_at_zero(self, par3):
         assert par3.theta_d(0.0) == pytest.approx(0.074 - 0.014, rel=1e-14)
         assert par3.theta_f(0.0) == pytest.approx(0.5, rel=1e-14)
-        assert par3.theta_time_dependent
+        assert levels_time_dependent(par3.theta_d_params, par3.theta_f_params)
 
     def test_zero_amplitude_ignores_decay_rate(self):
         m = experiment1_model()
         p = ModelParams(**{**m.__dict__, "theta_d_params": (0.07, 0.0, 3.0)})
         for tau in (0.0, 2.0):
             assert p.theta_d(tau) == pytest.approx(0.07)
-        assert not p.theta_time_dependent
+        assert not levels_time_dependent(p.theta_d_params, p.theta_f_params)
 
     def test_constant_approx_experiment3(self, par3):
         th_d, th_f = par3.theta_constant_approx()

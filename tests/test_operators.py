@@ -420,12 +420,18 @@ class TestAssembledOperator:
         assert op.is_time_dependent
         assert (op.matrix(0.0) != op.matrix(0.25)).nnz > 0
 
-    def test_constant_approx_folds(self, par3):
+    def test_constant_approx_folds(self, par3, rng):
+        # the constant levels are the tau=1 evaluation, so the folded matrix
+        # is the time-dependent operator's A(1)
         g = small_grid()
         op = assemble_operator(g, par3, theta_mode="constant_approx")
         assert not op.is_time_dependent
-        th_d, th_f = par3.theta_constant_approx()
-        assert op.meta["theta_values"] == (pytest.approx(th_d), pytest.approx(th_f))
+        A1 = assemble_operator(g, par3, theta_mode="time_dependent").matrix(1.0)
+        A = op.matrix(0.0)
+        for _ in range(3):
+            x = rng.standard_normal(g.n)
+            bound = 1e-12 * (abs(A1) @ np.abs(x))
+            assert np.all(np.abs(A @ x - A1 @ x) <= bound)
 
     def test_matvec_agrees_with_matrix(self, par3):
         g = small_grid()

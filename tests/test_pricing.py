@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fxhhw import operators
 from fxhhw.errors import ConfigError, InvalidArgumentError, RangeError
+from fxhhw.fdkm import FdkmConfig, fdkm_price
 from fxhhw.grids import AxisSpec, build_grid
 from fxhhw.integrators import KrylovConfig
 from fxhhw.model import ModelParams, OptionSpec
+from fxhhw.stencils import shape_parameters
 from fxhhw.pricing import (
     SolutionField,
     greeks,
@@ -120,6 +123,31 @@ class TestPriceSolutionBasics:
         f = price(par3, opt, g, solver="auto", delta_tau=0.005)
         assert np.all(np.isfinite(f.values))
 
+    def test_solver_rejected_before_assembly(self, par3, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("assembled before the solver check")
+
+        monkeypatch.setattr(operators, "assemble_operator", fail)
+        opt = OptionSpec("call", 100.0, 0.25)
+        g = experiment_grid((6, 5, 4, 4))
+        with pytest.raises(ConfigError):
+            price(par3, opt, g, solver="krylov")
+        for solver in ("midpoint", "auto"):
+            with pytest.raises(ConfigError):
+                price(par3, opt, g, solver=solver)
+
+    def test_field_carries_its_boundary_operator(self, exp1_coarse_field):
+        g = exp1_coarse_field.grid
+        op = exp1_coarse_field.operator
+        want = operators.impose_boundaries(
+            operators.assemble_operator(g, experiment1_model()),
+            "dirichlet",
+            OptionSpec("call", 100.0, 1.0),
+        )
+        np.testing.assert_array_equal(op.pinned, want.pinned)
+        assert op.pinned.any()
+        assert (op.base != want.base).nnz == 0
+
 
 class TestDeterministicLimit:
     def test_zero_volatility_call_matches_closed_form(self):
@@ -202,6 +230,56 @@ class TestGreeks:
     def test_out_of_range_rate_rejected(self, exp1_coarse_field):
         with pytest.raises(RangeError):
             greeks(exp1_coarse_field, rd=2.0, rf=0.1)
+
+    @staticmethod
+    def _differentiate(field, ms, mv, rd, rf):
+        """The slice at rate nodes (rd, rf), differentiated with ms and mv."""
+        g = field.grid
+        vals = field.reshape4()[
+            int(np.flatnonzero(g.rf_nodes == rf)[0]),
+            int(np.flatnonzero(g.rd_nodes == rd)[0]),
+        ]
+        delta = vals @ ms.T.toarray()
+        return delta, mv.toarray() @ vals, mv.toarray() @ delta
+
+    def test_rbf_field_matches_shape_rule_matrices_bitwise(self, exp1_coarse_field):
+        f = exp1_coarse_field
+        g = f.grid
+        rd, rf = g.rd_nodes[2], g.rf_nodes[3]
+        shapes = shape_parameters(g)
+        want = self._differentiate(
+            f,
+            operators.first_derivative_matrix(g.s_nodes, shapes.c_s),
+            operators.first_derivative_matrix(g.v_nodes, shapes.c_v),
+            rd, rf,
+        )
+        gs = greeks(f, rd=rd, rf=rf)
+        for got, exp in zip((gs.delta, gs.vega, gs.vanna), want):
+            np.testing.assert_array_equal(got, exp)
+
+    def test_fd_baseline_field_uses_fd_matrices(self):
+        cfg = FdkmConfig(m=(10, 8, 6, 6), s_max=1400.0)
+        f = fdkm_price(experiment1_model(), OptionSpec("call", 100.0, 1.0), cfg,
+                       krylov=KrylovConfig(dim=400))
+        g = f.grid
+        rd, rf = g.rd_nodes[2], g.rf_nodes[3]
+        want = self._differentiate(
+            f,
+            operators.first_derivative_matrix(g.s_nodes, None),
+            operators.first_derivative_matrix(g.v_nodes, None),
+            rd, rf,
+        )
+        gs = greeks(f, rd=rd, rf=rf)
+        for got, exp in zip((gs.delta, gs.vega, gs.vanna), want):
+            np.testing.assert_array_equal(got, exp)
+
+    def test_loaded_field_rejected(self, tmp_path, exp1_coarse_field):
+        p = tmp_path / "field.npz"
+        exp1_coarse_field.save(p)
+        loaded = SolutionField.load(p)
+        assert loaded.operator is None
+        with pytest.raises(InvalidArgumentError):
+            greeks(loaded, rd=0.1, rf=0.1)
 
 
 class TestRoc:
