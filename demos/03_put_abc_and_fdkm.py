@@ -14,15 +14,13 @@ import numpy as np
 
 from fxhhw import (
     AxisSpec,
-    FdkmConfig,
-    KrylovConfig,
     ModelParams,
     OptionSpec,
     build_grid,
     correlation_matrix,
-    fdkm_price,
     price,
     relative_error,
+    uniform_grid,
 )
 
 model = ModelParams(
@@ -42,7 +40,7 @@ grid = build_grid(
     AxisSpec(6, -1.0, 1.0, 0.1, 500.0),
     AxisSpec(6, -1.0, 1.0, 0.1, 500.0),
 )
-field = price(model, option, grid, boundary="abc", krylov=KrylovConfig(dim=700))
+field = price(model, option, grid, boundary="abc")
 print("stretched RBF-FD scheme, ABC boundary rows, grid 10x8x6x6:")
 for label, (point, ref) in refs.items():
     val = field.interpolate(point, "cubic")
@@ -53,8 +51,8 @@ print(f"  finest spot increment near the strike: {h_strike:.2f}")
 
 print()
 print("uniform central-FD baseline, same sizes, same boundary handling:")
-cfg = FdkmConfig(m=(10, 8, 6, 6), s_max=1400.0)
-fd_field = fdkm_price(model, option, cfg, boundary="abc", krylov=KrylovConfig(dim=700))
+fd_field = price(model, option, uniform_grid((10, 8, 6, 6), 1400.0), boundary="abc",
+                 fd_limit=True)
 for label, (point, ref) in refs.items():
     val = fd_field.interpolate(point, "cubic")
     print(f"  {label} = {val:8.4f}   ref {ref}   rel err {relative_error(val, ref):.2e}")

@@ -22,7 +22,7 @@ from .errors import (
     ModelConfigError,
     RangeError,
 )
-from .grids import AxisSpec, Grid4D, build_grid
+from .grids import AxisSpec, Grid4D, build_grid, uniform_grid
 from .model import FellerReport, ModelParams, OptionSpec, correlation_matrix, feller_check
 from .stencils import ShapeParams, WeightSet, shape_parameters
 from .operators import AssembledOperator, assemble_operator, impose_boundaries
@@ -36,7 +36,6 @@ from .integrators import (
 )
 from .pricing import GreeksSlice, SolutionField, greeks, interpolate, price, relative_error, roc
 from .mc import McConfig, McEstimate, pathwise_delta, simulate_price
-from .fdkm import FdkmConfig, fdkm_price
 from .config import ExperimentConfig, bundled_config_path, from_dict, from_yaml
 from .runner import ExperimentReport, run, surface_export, sweep
 
@@ -50,7 +49,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentReport",
-    "FdkmConfig",
     "FellerReport",
     "FxhhwError",
     "GreeksSlice",
@@ -76,7 +74,6 @@ __all__ = [
     "bundled_config_path",
     "correlation_matrix",
     "estimate_lambda_max",
-    "fdkm_price",
     "feller_check",
     "from_dict",
     "from_yaml",
@@ -94,4 +91,5 @@ __all__ = [
     "simulate_price",
     "surface_export",
     "sweep",
+    "uniform_grid",
 ]

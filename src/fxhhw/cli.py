@@ -25,8 +25,8 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    ladder = runner.parse_ladder(args.ladder)
     cfg = _load_config(args.config)
-    ladder = [int(x) for x in args.ladder.split(",")]
     report = runner.sweep(cfg, axis=args.axis, ladder=ladder, workers=args.workers)
     if args.out:
         import os

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .fdkm import FdkmConfig, uniform_grid
-from .grids import AxisSpec, Grid4D, build_grid
+from .grids import AxisSpec, Grid4D, build_grid, uniform_grid
 from .mc import McConfig
 from .model import ModelParams, OptionSpec, correlation_matrix
 from .operators import (
@@ -54,8 +53,7 @@ class ExperimentConfig:
     boundary: str = "dirichlet"
     theta_mode: str = "time_dependent"
     delta_tau: float | None = None
-    krylov_dim: int | None = None
-    krylov_tol: float = 1e-9
+    krylov_dim: int | None = None  # None: the largest basis the budget allows
     interpolation: str = "cubic"
     queries: list = field(default_factory=list)
     mc: McConfig | None = None
@@ -65,10 +63,7 @@ class ExperimentConfig:
     def grid(self) -> Grid4D:
         m1, m2, m3, m4 = self.m
         if self.method == "fdkm":
-            return uniform_grid(
-                FdkmConfig(m=self.m, s_max=self.s_max, v_max=self.v_max,
-                           r_min=self.r_min, r_max=self.r_max)
-            )
+            return uniform_grid(self.m, self.s_max, self.v_max, self.r_min, self.r_max)
         return build_grid(
             AxisSpec(m1, 0.0, self.s_max, self.option.strike, self.xi_s),
             AxisSpec(m2, 0.0, self.v_max, self.model.v0, self.xi_v),
@@ -98,18 +93,60 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# correlation_matrix's arguments, in order.
+CORRELATION_KEYS = ("sv", "sd", "sf", "vd", "vf", "df")
+GRID_KEYS = ("m", "s_max", "v_max", "r_min", "r_max", "xi_s", "xi_v", "xi_rd", "xi_rf")
+SOLVER_KEYS = ("solver", "boundary", "theta_mode", "method", "interpolation",
+               "delta_tau", "krylov_dim")
+# The keys from_dict reads, per entry; any other key is a violation.
+KNOWN_KEYS = {
+    "": ("name", "model", "option", "grid", "solver", "queries", "mc", "seed",
+         "compute_lambda_max"),
+    "model": ("s0", "v0", "rd0", "rf0", "kappa", "vbar", "gamma", "lambda_d",
+              "lambda_f", "eta_d", "eta_f", "theta_d", "theta_f", "correlation"),
+    "model.correlation": CORRELATION_KEYS,
+    "option": tuple(f.name for f in fields(OptionSpec)),
+    "grid": GRID_KEYS,
+    "solver": SOLVER_KEYS,
+    "mc": ("paths", "steps_per_year", "seed", "antithetic"),  # McConfig fields
+    "queries": tuple(f.name for f in fields(QueryPoint)),
+}
+
+
 def _require(cond, msg, violations):
     if not cond:
         violations.append(msg)
 
 
+def _mapping(value, where, violations):
+    """``value`` as a mapping, None as empty; a non-mapping and each key not
+    in ``KNOWN_KEYS`` are violations."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        violations.append(f"{where or 'config'} must be a mapping, got {value!r}")
+        return {}
+    for key in value:
+        if key not in KNOWN_KEYS[where.split("[")[0]]:
+            violations.append(f"unknown key {where + '.' if where else ''}{key}")
+    return value
+
+
 def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     """Build and validate a config from a plain dict; collects all violations."""
     violations = []
-    md = raw.get("model", {})
-    od = raw.get("option", {})
-    gd = raw.get("grid", {})
-    sd = raw.get("solver", {})
+    raw = _mapping(raw, "", violations)
+    md = _mapping(raw.get("model"), "model", violations)
+    corr = _mapping(md.get("correlation"), "model.correlation", violations)
+    od = _mapping(raw.get("option"), "option", violations)
+    gd = _mapping(raw.get("grid"), "grid", violations)
+    sd = _mapping(raw.get("solver"), "solver", violations)
+    mcd = _mapping(raw.get("mc"), "mc", violations)
+    qs = raw.get("queries") or []
+    if not isinstance(qs, list):
+        violations.append(f"queries must be a list, got {qs!r}")
+        qs = []
+    qs = [_mapping(q, f"queries[{i}]", violations) for i, q in enumerate(qs)]
 
     for key, positive in (
         ("kappa", True), ("gamma", True), ("eta_d", True), ("eta_f", True),
@@ -131,38 +168,37 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     _require(len(m) == 4 and all(int(x) >= 4 for x in m),
              f"grid.m must be four sizes >= 4, got {m}", violations)
 
-    solver = sd.get("solver", "auto")
-    boundary = sd.get("boundary", "dirichlet")
-    theta_mode = sd.get("theta_mode", "time_dependent")
-    method = sd.get("method", "pm")
-    interpolation = sd.get("interpolation", "cubic")
-    _require(solver in SOLVERS, f"solver must be one of {SOLVERS}, got {solver!r}", violations)
-    _require(boundary in BOUNDARY_MODES, f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}", violations)
-    _require(theta_mode in THETA_MODES, f"theta_mode must be one of {THETA_MODES}", violations)
-    _require(method in METHODS, f"method must be one of {METHODS}, got {method!r}", violations)
-    _require(interpolation in INTERPOLATIONS,
+    # Unset solver keys take the ExperimentConfig defaults.
+    sol = {key: sd.get(key, getattr(ExperimentConfig, key)) for key in SOLVER_KEYS}
+    _require(sol["solver"] in SOLVERS,
+             f"solver must be one of {SOLVERS}, got {sol['solver']!r}", violations)
+    _require(sol["boundary"] in BOUNDARY_MODES,
+             f"boundary must be one of {BOUNDARY_MODES}, got {sol['boundary']!r}", violations)
+    _require(sol["theta_mode"] in THETA_MODES,
+             f"theta_mode must be one of {THETA_MODES}", violations)
+    _require(sol["method"] in METHODS,
+             f"method must be one of {METHODS}, got {sol['method']!r}", violations)
+    _require(sol["interpolation"] in INTERPOLATIONS,
              f"interpolation must be one of {INTERPOLATIONS}", violations)
-    delta_tau = sd.get("delta_tau")
-    if solver == "midpoint":
-        _require(delta_tau is not None and delta_tau > 0,
+    if sol["solver"] == "midpoint":
+        _require(sol["delta_tau"] is not None and sol["delta_tau"] > 0,
                  "solver.delta_tau must be positive for the midpoint solver", violations)
 
     theta_d = tuple(md.get("theta_d", (0.0, 0.0, 0.0)))
     theta_f = tuple(md.get("theta_f", (0.0, 0.0, 0.0)))
     if (
-        solver == "krylov"
+        sol["solver"] == "krylov"
         and len(theta_d) == len(theta_f) == 3  # else ModelParams reports the length
-        and time_dependent_operator(theta_mode, theta_d, theta_f)
+        and time_dependent_operator(sol["theta_mode"], theta_d, theta_f)
     ):
         violations.append(
             "solver 'krylov' requires a time-independent operator; "
             "use theta_mode 'constant_approx' or solver 'midpoint'"
         )
-    pinning = put_pinning_violation(boundary, kind)
+    pinning = put_pinning_violation(sol["boundary"], kind)
     if pinning:
         violations.append(pinning)
 
-    corr = md.get("correlation", {})
     model = option = None
     if not violations:
         try:
@@ -173,10 +209,7 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
                 lambda_d=float(md.get("lambda_d", 0.0)), lambda_f=float(md.get("lambda_f", 0.0)),
                 eta_d=float(md["eta_d"]), eta_f=float(md["eta_f"]),
                 theta_d_params=theta_d, theta_f_params=theta_f,
-                correlation=correlation_matrix(
-                    corr.get("sv", 0.0), corr.get("sd", 0.0), corr.get("sf", 0.0),
-                    corr.get("vd", 0.0), corr.get("vf", 0.0), corr.get("df", 0.0),
-                ),
+                correlation=correlation_matrix(*(corr.get(k, 0.0) for k in CORRELATION_KEYS)),
             )
             option = OptionSpec(kind=kind, strike=float(od["strike"]),
                                 maturity=float(od["maturity"]))
@@ -185,41 +218,30 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
 
-    queries = []
-    for q in raw.get("queries", []):
-        queries.append(
-            QueryPoint(point=tuple(float(x) for x in q["point"]),
-                       reference=q.get("reference"), label=q.get("label", ""))
-        )
+    queries = [
+        QueryPoint(point=tuple(float(x) for x in q["point"]),
+                   reference=q.get("reference"), label=q.get("label", ""))
+        for q in qs
+    ]
     mc_cfg = None
-    if "mc" in raw and raw["mc"]:
-        mc_cfg = McConfig(
-            paths=int(raw["mc"].get("paths", 200_000)),
-            steps_per_year=int(raw["mc"].get("steps_per_year", 200)),
-            seed=int(raw["mc"].get("seed", raw.get("seed", 0))),
-            antithetic=bool(raw["mc"].get("antithetic", False)),
-        )
+    if mcd:
+        # Each value takes the type of its McConfig default.
+        mc_cfg = McConfig(**{key: type(getattr(McConfig, key))(val)
+                             for key, val in {"seed": raw.get("seed", 0), **mcd}.items()})
+    if sol["delta_tau"] is not None:
+        sol["delta_tau"] = float(sol["delta_tau"])
+    if sol["krylov_dim"] is not None:
+        sol["krylov_dim"] = int(sol["krylov_dim"])
+    # Unset grid keys take the ExperimentConfig defaults.
+    grid = {"s_max": 14.0 * option.strike,
+            **{key: float(gd[key]) for key in GRID_KEYS[1:] if key in gd}}
     return ExperimentConfig(
         name=raw.get("name", name),
         model=model,
         option=option,
         m=tuple(int(x) for x in m),
-        s_max=float(gd.get("s_max", 14.0 * option.strike)),
-        v_max=float(gd.get("v_max", 10.0)),
-        r_min=float(gd.get("r_min", -1.0)),
-        r_max=float(gd.get("r_max", 1.0)),
-        xi_s=float(gd.get("xi_s", 0.1)),
-        xi_v=float(gd.get("xi_v", 50.0)),
-        xi_rd=float(gd.get("xi_rd", 500.0)),
-        xi_rf=float(gd.get("xi_rf", 500.0)),
-        method=method,
-        solver=solver,
-        boundary=boundary,
-        theta_mode=theta_mode,
-        delta_tau=None if delta_tau is None else float(delta_tau),
-        krylov_dim=None if sd.get("krylov_dim") is None else int(sd["krylov_dim"]),
-        krylov_tol=float(sd.get("krylov_tol", 1e-9)),
-        interpolation=interpolation,
+        **grid,
+        **sol,
         queries=queries,
         mc=mc_cfg,
         seed=int(raw.get("seed", 0)),

@@ -182,3 +182,16 @@ def build_grid(s_spec, v_spec, rd_spec, rf_spec) -> Grid4D:
         rd_nodes=build_rate_axis(rd_spec),
         rf_nodes=build_rate_axis(rf_spec),
     )
+
+
+def uniform_grid(m, s_max, v_max=10.0, r_min=-1.0, r_max=1.0) -> Grid4D:
+    """Uniform axes of sizes ``m`` over the same box: the FD baseline's grid."""
+    if len(m) != 4 or any(int(mi) < 4 for mi in m):
+        raise InvalidArgumentError(f"need four axis sizes, each >= 4, got {m}")
+    m1, m2, m3, m4 = (int(mi) for mi in m)
+    return Grid4D(
+        s_nodes=np.linspace(0.0, s_max, m1),
+        v_nodes=np.linspace(0.0, v_max, m2),
+        rd_nodes=np.linspace(r_min, r_max, m3),
+        rf_nodes=np.linspace(r_min, r_max, m4),
+    )

@@ -10,7 +10,6 @@ eigenvalue of its symmetric part, the quantity the stability criterion uses.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -26,14 +25,19 @@ DENSE_EIG_CUTOFF = 1000
 EIG_MAXITER = 8000
 # The midpoint stepper aborts when the iterate norm grows past this factor.
 DIVERGENCE_FACTOR = 1e6
+# Memory one Krylov basis may take: (dim + 1) * N * 8 bytes.
+BASIS_BUDGET_BYTES = 2**30
 
 
 @dataclass
 class KrylovConfig:
-    """Arnoldi settings: subspace size and residual tolerance.
+    """Arnoldi settings: subspace cap and residual tolerance.
 
     The Arnoldi process stops early (exactly) once h_{j+1,j} falls to
-    1e-14 * ||A||_1.
+    1e-14 * ||A||_1, and otherwise once the residual estimate meets ``tol``.
+    ``dim=None`` caps the subspace at the largest basis that fits
+    ``BASIS_BUDGET_BYTES``; an explicit ``dim`` whose basis does not fit is
+    refused.
 
     ``substeps > 1`` evaluates exp(tau A) as the exact composition
     (exp(tau A / k))^k, each application running its own Arnoldi build with
@@ -41,9 +45,8 @@ class KrylovConfig:
     operators without ever returning an unconverged result.
     """
 
-    dim: int | None = None  # None -> min(100, N)
+    dim: int | None = None
     tol: float = 1e-9
-    tau: float = 1.0
     check_every: int = 10
     substeps: int = 1
 
@@ -60,14 +63,16 @@ def _as_csr(A):
     return sp.csr_matrix(np.asarray(A, dtype=float))
 
 
-def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None):
+def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     """Approximate exp(tau*A) @ v0 with an Arnoldi-projected exponential.
 
     Builds an orthonormal basis of span{v0, A v0, ..., A^(Y-1) v0} by modified
-    Gram-Schmidt, then returns beta * V_Y exp(H_Y) e1.  Early breakdown
-    (h_{j+1,j} below threshold) truncates the basis and yields the exact
-    action.  If the subspace cap is reached while the residual estimate still
-    exceeds the tolerance, raises instead of returning silently.
+    Gram-Schmidt, then returns beta * V_Y exp(tau H_Y) e1.  The horizon
+    ``tau > 0`` scales only the small Hessenberg matrix and the residual,
+    never A.  Early breakdown (h_{j+1,j} below threshold) truncates the basis
+    and yields the exact action.  If the subspace cap is reached while the
+    residual estimate still exceeds the tolerance, raises instead of
+    returning silently.
     """
     cfg = cfg or KrylovConfig()
     A = _as_csr(A)
@@ -75,30 +80,39 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None):
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     if v0.shape[0] != n:
         raise InvalidArgumentError("dimension mismatch between A and v0")
-    beta = float(np.linalg.norm(v0))
-    if beta == 0.0:
+    if float(np.linalg.norm(v0)) == 0.0:
         raise InvalidArgumentError("initial vector must be nonzero")
-    scale = cfg.tau / cfg.substeps
-    if scale != 1.0:
-        A = (A * scale).tocsr()
-    if cfg.substeps > 1:
-        w = v0
-        inner = dataclasses.replace(cfg, tau=1.0, substeps=1)
-        for _ in range(cfg.substeps):
-            w = krylov_expm_action(A, w, inner)
-        return w
-
-    dim = cfg.dim if cfg.dim is not None else min(100, n)
-    if dim > n:
+    if not tau > 0:
+        raise InvalidArgumentError(f"horizon must be positive, got {tau}")
+    dim = cfg.dim
+    if dim is None:
+        dim = max(1, min(n, BASIS_BUDGET_BYTES // (8 * n) - 1))
+    elif dim > n:
         warnings.warn(f"Krylov dimension {dim} exceeds N={n}; clamped", stacklevel=2)
         dim = n
+    if (dim + 1) * n * 8 > BASIS_BUDGET_BYTES:
+        raise InvalidArgumentError(
+            f"a Krylov basis of dimension {dim} for N={n} needs "
+            f"{(dim + 1) * n * 8 / 2**20:.0f} MiB, above the "
+            f"{BASIS_BUDGET_BYTES / 2**20:.0f} MiB budget; lower dim"
+        )
     btol = 1e-14 * float(spla.norm(A, 1)) if A.nnz else 0.0
+    w = v0
+    for _ in range(cfg.substeps):
+        w = _arnoldi_expm(A, w, dim, tau / cfg.substeps, btol, cfg)
+    return w
 
+
+def _arnoldi_expm(A, v0, dim, scale, btol, cfg):
+    """exp(scale*A) @ v0 from at most ``dim`` Arnoldi steps on A."""
+    beta = float(np.linalg.norm(v0))
     # Basis vectors stored as contiguous rows; Gram-Schmidt with one
     # re-orthogonalization pass (numerically equivalent to the modified
-    # Gram-Schmidt loop, but BLAS-2 throughout).
-    V = np.empty((dim + 1, n))
-    H = np.zeros((dim + 1, dim))
+    # Gram-Schmidt loop, but BLAS-2 throughout).  V and the transposed
+    # Hessenberg matrix HT (row j = column j of H) are reserved at the cap
+    # and written one row per step, so only the rows written become resident.
+    V = np.empty((dim + 1, A.shape[0]))
+    HT = np.zeros((dim, dim + 1))
     V[0] = v0 / beta
     used = dim
     residual = np.inf
@@ -110,9 +124,9 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None):
         w -= Q.T @ h
         corr = Q @ w
         w -= Q.T @ corr
-        H[: j + 1, j] = h + corr
         hnext = float(np.linalg.norm(w))
-        H[j + 1, j] = hnext
+        HT[j, : j + 1] = h + corr
+        HT[j, j + 1] = hnext
         if hnext <= btol:
             used = j + 1
             happy = True
@@ -120,15 +134,13 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None):
             break
         V[j + 1] = w / hnext
         if (j + 1) % cfg.check_every == 0 or j == dim - 1:
-            expH = scipy.linalg.expm(H[: j + 1, : j + 1])
-            residual = beta * hnext * abs(expH[j, 0])
+            expH = scipy.linalg.expm(scale * HT[: j + 1, : j + 1].T.copy())
+            residual = beta * (scale * hnext) * abs(expH[j, 0])
             if residual <= cfg.tol * max(1.0, beta):
                 used = j + 1
                 break
-    else:
-        used = dim
 
-    expH = scipy.linalg.expm(H[:used, :used])
+    expH = scipy.linalg.expm(scale * HT[:used, :used].T.copy())
     if not happy and residual > cfg.tol * max(1.0, beta):
         raise KrylovConvergenceError(
             f"Krylov subspace of dimension {used} left residual estimate "

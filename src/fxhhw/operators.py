@@ -136,7 +136,7 @@ def second_derivative_matrix(nodes, c):
     ]
     # End rows: the (-4/c^2, 2/c^2) pair; zero in the FD limit.
     if c is not None:
-        pair = (-4.0 / (c * c), 2.0 / (c * c))
+        pair = stencils.boundary_second_weights(c).weights
         blocks += [(0, (0, 1), pair), (m - 1, (-1, 0), pair)]
     A = _stencil_matrix(m, blocks)
     _warn_shape_regime(nodes, c, order=2)

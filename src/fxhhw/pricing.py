@@ -217,10 +217,7 @@ def price(
 
     v0 = payoff_vector(grid, option)
     if solver == "krylov":
-        cfg = krylov or KrylovConfig()
-        v = krylov_expm_action(
-            op.matrix(0.0), v0, dataclasses.replace(cfg, tau=T * cfg.tau)
-        )
+        v = krylov_expm_action(op.matrix(0.0), v0, krylov or KrylovConfig(), tau=T)
     else:
         v = modified_midpoint_solve(op, v0, steps)
     return SolutionField(values=v, grid=grid, tau=T, operator=op)

@@ -42,7 +42,6 @@ class ExperimentReport:
     rows: list
     query_labels: list
     mc_estimates: list = field(default_factory=list)
-    config_echo: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     def write_csv(self, path):
@@ -97,17 +96,15 @@ class ExperimentReport:
 
 def solve_field(cfg: ExperimentConfig) -> SolutionField:
     """Grid -> assembly -> boundary rows -> time integration, per the config."""
-    grid = cfg.grid()
-    krylov = KrylovConfig(dim=cfg.krylov_dim, tol=cfg.krylov_tol)
     return pricing.price(
         cfg.model,
         cfg.option,
-        grid,
+        cfg.grid(),
         solver=cfg.solver,
         boundary=cfg.boundary,
         theta_mode=cfg.theta_mode,
         delta_tau=cfg.delta_tau,
-        krylov=krylov,
+        krylov=KrylovConfig(dim=cfg.krylov_dim),
         fd_limit=(cfg.method == "fdkm"),
     )
 
@@ -138,7 +135,6 @@ def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentRepo
         config_hash=cfg.config_hash(),
         rows=[row],
         query_labels=[q.label or f"q{i}" for i, q in enumerate(cfg.queries)],
-        config_echo=cfg.canonical_dict(),
     )
     if cfg.mc is not None:
         for qp, label in zip(cfg.queries, report.query_labels):
@@ -160,19 +156,39 @@ def _sweep_entry(args):
     return _solve_row(cfg.with_m(m))[1]
 
 
-def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), workers=None,
-          solver_fn=None) -> ExperimentReport:
-    """Refine one axis over a doubling ladder and report prices + ROC.
+def parse_ladder(ladder):
+    """Sizes of a refinement ladder given as ``'8,16,32'`` or a sequence.
 
-    ``solver_fn`` (m-tuple -> list of query values) replaces the PDE solve
-    when given; the sweep harness itself is solver-agnostic.
+    Raises ConfigError unless there are at least 3 integer sizes, the first
+    at least 4, each double the one before.
     """
-    ladder = [int(x) for x in ladder]
-    if len(ladder) < 3:
-        raise ConfigError(["sweep ladder needs at least 3 sizes"])
-    for a, b in zip(ladder, ladder[1:]):
-        if b != 2 * a:
-            raise ConfigError([f"sweep ladder must double at each rung, got {ladder}"])
+    items = ladder.split(",") if isinstance(ladder, str) else ladder
+    try:
+        sizes = [int(x) for x in items]
+    except (TypeError, ValueError):
+        raise ConfigError([f"sweep ladder must be integer sizes, got {ladder!r}"]) from None
+    if len(sizes) < 3:
+        raise ConfigError([f"sweep ladder needs at least 3 sizes, got {sizes}"])
+    if sizes[0] < 4 or any(b != 2 * a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError([f"sweep ladder must start at >= 4 and double at each rung, "
+                           f"got {sizes}"])
+    return sizes
+
+
+def fill_roc(rows):
+    """Set each row's ROC from its values and those of the two rows before it."""
+    nq = len(rows[0].values)
+    for i, row in enumerate(rows):
+        row.roc = [None] * nq if i < 2 else [
+            pricing.roc(rows[i - 2].values[k], rows[i - 1].values[k], row.values[k])
+            for k in range(nq)
+        ]
+
+
+def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32),
+          workers=None) -> ExperimentReport:
+    """Refine one axis over a doubling ladder and report prices + ROC."""
+    ladder = parse_ladder(ladder)
     if axis not in SLICE_AXES:
         raise ConfigError([f"unknown sweep axis {axis!r}"])
     pos = SLICE_AXES[axis]
@@ -182,47 +198,20 @@ def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), workers=None,
         m[pos] = size
         ms.append(tuple(m))
 
-    if solver_fn is not None:
-        rows = []
-        for m in ms:
-            t0 = time.perf_counter()
-            values = list(solver_fn(m))
-            rows.append(
-                ConvergenceRow(
-                    m=m,
-                    values=values,
-                    rel_errors=[None] * len(values),
-                    elapsed=time.perf_counter() - t0,
-                )
-            )
+    if workers is None:
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    entries = [(cfg, m) for m in ms]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_entry, entries))
     else:
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        entries = [(cfg, m) for m in ms]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_entry, entries))
-        else:
-            rows = [_sweep_entry(e) for e in entries]
-
-    nq = len(rows[0].values)
-    for i in range(len(rows)):
-        if i >= 2:
-            rows[i].roc = [
-                pricing.roc(rows[i - 2].values[k], rows[i - 1].values[k], rows[i].values[k])
-                for k in range(nq)
-            ]
-        else:
-            rows[i].roc = [None] * nq
-    labels = [q.label or f"q{i}" for i, q in enumerate(cfg.queries)] or [
-        f"q{i}" for i in range(nq)
-    ]
+        rows = [_sweep_entry(e) for e in entries]
+    fill_roc(rows)
     report = ExperimentReport(
         name=f"{cfg.name}-sweep-{axis}",
         config_hash=cfg.config_hash(),
         rows=rows,
-        query_labels=labels,
-        config_echo=cfg.canonical_dict(),
+        query_labels=[q.label or f"q{i}" for i, q in enumerate(cfg.queries)],
     )
     defined = [r for row in rows for r in row.roc if r is not None]
     if defined:
@@ -236,7 +225,7 @@ def surface_export(field: SolutionField, slice_spec, path, fixed=None):
     """Write (x, y, V) triples for a 2D slice, e.g. slice_spec='sv'.
 
     ``fixed`` holds the values of the two remaining coordinates (defaults to
-    the first node of each). Queries interpolate multilinearly, so a slice
+    the first node of each); a value for a slice axis is a ConfigError. Queries interpolate multilinearly, so a slice
     along grid axes at nodal fixed values reproduces stored values exactly.
     """
     parts = []
@@ -254,6 +243,10 @@ def surface_export(field: SolutionField, slice_spec, path, fixed=None):
     ax_x, ax_y = parts
     g = field.grid
     fixed = dict(fixed or {})
+    on_slice = [a for a in parts if a in fixed]
+    if on_slice:
+        raise ConfigError([f"fixed value given for {a}, an axis of the {slice_spec!r} slice"
+                           for a in on_slice])
     others = [a for a in SLICE_AXES if a not in parts]
     point_template = {}
     for a in others:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fxhhw import operators
-from fxhhw.fdkm import FdkmConfig, fdkm_price
+from fxhhw.grids import uniform_grid
 from fxhhw.integrators import (
     KrylovConfig,
     MidpointConfig,
@@ -363,9 +363,8 @@ def test_criterion_9_mc_cross_validation(exp1_field_c1, exp2_field):
 def test_criterion_10_fdkm_failure_mode(exp2_field):
     par = experiment1_model()
     opt = OptionSpec("put", E, 2.0)
-    cfg = FdkmConfig(m=(10, 8, 6, 6), s_max=14 * E)
-    fld = fdkm_price(par, opt, cfg, boundary="abc",
-                     krylov=KrylovConfig(dim=700, tol=1e-9))
+    fld = price(par, opt, uniform_grid((10, 8, 6, 6), 14 * E), boundary="abc",
+                krylov=KrylovConfig(dim=700, tol=1e-9), fd_limit=True)
     v1 = fld.interpolate(V1_POINT, "cubic")
     fdkm_bad = v1 < 0 or relative_error(v1, 12.528) > 0.10
     pm_v1 = exp2_field.interpolate(V1_POINT, "cubic")

@@ -8,8 +8,9 @@ import yaml
 from fxhhw import cli, operators, runner
 from fxhhw.config import bundled_config_path, from_dict, from_yaml
 from fxhhw.errors import ConfigError
+from fxhhw.mc import McConfig
 from fxhhw.pricing import SolutionField
-from fxhhw.runner import surface_export, sweep
+from fxhhw.runner import ConvergenceRow, fill_roc, parse_ladder, surface_export, sweep
 
 
 def tiny_config_dict():
@@ -43,6 +44,18 @@ class TestConfigParsing:
             assert cfg.model is not None
             assert len(cfg.queries) == 2
 
+    def test_unset_keys_take_defaults(self):
+        raw = tiny_config_dict()
+        raw["seed"] = 7
+        raw["mc"] = {"paths": 100, "antithetic": True}
+        raw["grid"] = {"m": [8, 6, 6, 6], "v_max": 5}
+        raw["solver"] = {"krylov_dim": 40.0}
+        cfg = from_dict(raw)
+        assert cfg.mc == McConfig(paths=100, steps_per_year=200, seed=7, antithetic=True)
+        assert (cfg.s_max, cfg.v_max, cfg.xi_s, cfg.r_min) == (1400.0, 5.0, 0.1, -1.0)
+        assert (cfg.solver, cfg.boundary, cfg.delta_tau, cfg.krylov_dim) == (
+            "auto", "dirichlet", None, 40)
+
     def test_missing_bundled_config(self):
         with pytest.raises(ConfigError):
             bundled_config_path("experiment99")
@@ -75,6 +88,46 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             from_dict(raw)
         assert any("3 coefficients" in v for v in err.value.violations)
+
+    def test_unknown_keys_reported(self):
+        raw = tiny_config_dict()
+        raw["extra"] = 1
+        raw["model"]["kapa"] = 0.5
+        raw["model"]["correlation"]["ds"] = 0.1
+        raw["option"]["strik"] = 100.0
+        raw["grid"]["xi"] = 1.0
+        raw["solver"]["bondary"] = "abc"
+        raw["solver"]["krylov_tol"] = 1e-9
+        raw["mc"] = {"paths": 100, "sed": 1}
+        raw["queries"][1]["ref"] = 7.888
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations == [
+            "unknown key extra", "unknown key model.kapa",
+            "unknown key model.correlation.ds", "unknown key option.strik",
+            "unknown key grid.xi", "unknown key solver.bondary",
+            "unknown key solver.krylov_tol", "unknown key mc.sed",
+            "unknown key queries[1].ref",
+        ]
+
+    def test_entries_must_be_mappings(self):
+        raw = tiny_config_dict()
+        raw["model"]["correlation"] = None  # an empty YAML entry: no correlation
+        assert np.array_equal(from_dict(raw).model.correlation, np.eye(4))
+        raw["option"] = 5
+        raw["solver"] = ["abc"]
+        raw["queries"] = [{"point": [100.0, 0.04, 0.0, 0.0]}, 7]
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations[:3] == [
+            "option must be a mapping, got 5", "solver must be a mapping, got ['abc']",
+            "queries[1] must be a mapping, got 7",
+        ]
+        raw = tiny_config_dict()
+        raw["queries"] = {"point": [100.0, 0.04, 0.0, 0.0]}
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations[0].startswith("queries must be a list")
 
     def test_put_with_pinning_boundary_rejected(self):
         raw = tiny_config_dict()
@@ -131,31 +184,32 @@ class TestRunner:
 
 class TestSweepHarness:
     def test_synthetic_second_order_solver(self):
-        cfg = from_dict(tiny_config_dict())
-
-        def dummy(m):
-            # exact second-order model data: ROC must be exactly 2
-            return [5.0 + 3.0 / m[0] ** 2, 7.0 + 5.0 / m[0] ** 2]
-
-        report = sweep(cfg, axis="s", ladder=(8, 16, 32, 64), solver_fn=dummy)
-        for row in report.rows[2:]:
+        # exact second-order model data: ROC must be exactly 2
+        rows = [
+            ConvergenceRow(m=(m, 6, 6, 6), values=[5.0 + 3.0 / m**2, 7.0 + 5.0 / m**2],
+                           rel_errors=[None, None], elapsed=0.0)
+            for m in parse_ladder((8, 16, 32, 64))
+        ]
+        fill_roc(rows)
+        assert rows[0].roc == rows[1].roc == [None, None]
+        for row in rows[2:]:
             for r in row.roc:
                 assert r == pytest.approx(2.0, rel=1e-9)
 
     def test_short_ladder_rejected(self):
-        cfg = from_dict(tiny_config_dict())
         with pytest.raises(ConfigError):
-            sweep(cfg, axis="s", ladder=(8, 16), solver_fn=lambda m: [1.0])
+            parse_ladder((8, 16))
 
     def test_non_doubling_ladder_rejected(self):
-        cfg = from_dict(tiny_config_dict())
-        with pytest.raises(ConfigError):
-            sweep(cfg, axis="s", ladder=(8, 12, 16), solver_fn=lambda m: [1.0])
+        for ladder in ((8, 12, 16), "8,16,x", "8,16.5,32", (2, 4, 8)):
+            with pytest.raises(ConfigError):
+                parse_ladder(ladder)
+        assert parse_ladder(" 8,16 ,32") == [8, 16, 32]
 
     def test_unknown_axis_rejected(self):
         cfg = from_dict(tiny_config_dict())
         with pytest.raises(ConfigError):
-            sweep(cfg, axis="q", ladder=(8, 16, 32), solver_fn=lambda m: [1.0])
+            sweep(cfg, axis="q", ladder=(8, 16, 32))
 
 
 class TestSurfaceExport:
@@ -202,6 +256,14 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "V1" in out and "V2" in out
+
+    def test_unknown_key_exit_two(self, tmp_path, capsys):
+        raw = tiny_config_dict()
+        raw["solver"]["bondary"] = "abc"
+        cfg_path = tmp_path / "typo.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "config error: unknown key solver.bondary\n"
 
     def test_malformed_config_exit_nonzero(self, tmp_path, capsys):
         raw = tiny_config_dict()
@@ -259,6 +321,23 @@ class TestCli:
         assert len(err) == len(bad)
         for line, item in zip(err, bad):
             assert line.startswith(f"config error: --at item {item!r} ")
+        assert not (tmp_path / "slice.csv").exists()
+
+    @pytest.mark.parametrize("ladder", ["8,x", "8,16", "8,12,16"])
+    def test_sweep_bad_ladder_exit_two(self, tmp_path, capsys, ladder):
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(yaml.safe_dump(tiny_config_dict()))
+        code = cli.main(["sweep", str(cfg_path), "--ladder", ladder])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: sweep ladder ")
+
+    def test_export_fixed_slice_axis_exit_two(self, tiny_field, tmp_path, capsys):
+        tiny_field.save(tmp_path / "f.npz")
+        code = cli.main(["export", str(tmp_path / "f.npz"), "--slice", "sv",
+                         "--at", "s=50,rd=0.1", "--out", str(tmp_path / "slice.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: fixed value given for s, an axis of the 'sv' slice"]
         assert not (tmp_path / "slice.csv").exists()
 
     def test_sweep_subcommand_with_synthetic_ladder(self, tmp_path, capsys):

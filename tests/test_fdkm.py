@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from fxhhw.errors import InvalidArgumentError
-from fxhhw.fdkm import FdkmConfig, uniform_grid
+from fxhhw.grids import uniform_grid
 from fxhhw.operators import (
     assemble_operator,
     first_derivative_matrix,
@@ -15,10 +15,10 @@ from conftest import experiment1_model
 class TestFdkmConfig:
     def test_rejects_small_axes(self):
         with pytest.raises(InvalidArgumentError):
-            FdkmConfig(m=(3, 6, 6, 6), s_max=1400.0)
+            uniform_grid((3, 6, 6, 6), 1400.0)
 
     def test_uniform_axes(self):
-        g = uniform_grid(FdkmConfig(m=(8, 6, 6, 6), s_max=1400.0))
+        g = uniform_grid((8, 6, 6, 6), 1400.0)
         for d in (g.ds, g.dv, g.drd, g.drf):
             np.testing.assert_allclose(d, d[0], rtol=1e-12)
 
@@ -46,8 +46,7 @@ class TestCentralStencils:
 class TestMixedDerivativeCross:
     def test_exact_on_bilinear_function(self):
         # nine-point cross: exact for f(s, v) = s*v at interior nodes
-        cfg = FdkmConfig(m=(8, 7, 4, 4), s_max=1400.0)
-        g = uniform_grid(cfg)
+        g = uniform_grid((8, 7, 4, 4), 1400.0)
         m1, m2 = g.shape[0], g.shape[1]
         M1s = first_derivative_matrix(g.s_nodes, None)
         M1v = first_derivative_matrix(g.v_nodes, None)
@@ -59,8 +58,8 @@ class TestMixedDerivativeCross:
 
 class TestFdkmOperator:
     def test_assembles_with_fd_rows(self):
-        cfg = FdkmConfig(m=(8, 6, 6, 6), s_max=1400.0)
-        op = assemble_operator(uniform_grid(cfg), experiment1_model(), fd_limit=True)
+        op = assemble_operator(uniform_grid((8, 6, 6, 6), 1400.0), experiment1_model(),
+                               fd_limit=True)
         g = op.grid
         for ax in ("s", "v", "rd", "rf"):
             want = first_derivative_matrix(g.axis_nodes(ax), None)

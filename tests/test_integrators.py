@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from fxhhw import integrators
 from fxhhw.config import bundled_config_path, from_yaml
 from fxhhw.errors import InstabilityError, InvalidArgumentError, KrylovConvergenceError
 from fxhhw.integrators import (
@@ -13,7 +16,9 @@ from fxhhw.integrators import (
     krylov_expm_action,
     modified_midpoint_solve,
 )
+from fxhhw.model import OptionSpec
 from fxhhw.operators import assemble_operator, impose_boundaries
+from conftest import experiment1_model, experiment_grid
 
 
 def random_stable_sparse(rng, n=50, density=0.15, shift=3.0):
@@ -46,9 +51,68 @@ class TestKrylovExpmAction:
     def test_tau_scaling(self, rng):
         A = random_stable_sparse(rng)
         v = rng.standard_normal(50)
-        got = krylov_expm_action(A, v, KrylovConfig(dim=40, tol=1e-12, tau=0.37))
+        got = krylov_expm_action(A, v, KrylovConfig(dim=40, tol=1e-12), tau=0.37)
         want = scipy.linalg.expm(0.37 * A.toarray()) @ v
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
+
+    @pytest.mark.parametrize("tau, substeps", [(2.0, 1), (0.25, 1), (1.0, 2), (2.0, 4)])
+    def test_horizon_equals_prescaled_matrix_bitwise(self, rng, tau, substeps):
+        # The horizon scales H, the breakdown threshold and the residual; for
+        # a power-of-two tau / substeps that is exactly the Arnoldi run on the
+        # prescaled matrix, substep by substep.
+        op = impose_boundaries(
+            assemble_operator(experiment_grid((8, 6, 4, 4)), experiment1_model()),
+            "dirichlet", OptionSpec("call", 100.0, 1.0),
+        )
+        for A in (op.matrix(0.0), random_stable_sparse(rng)):
+            v = rng.standard_normal(A.shape[0])
+            cfg = KrylovConfig(dim=min(300, A.shape[0]), tol=1e-10)
+            got = krylov_expm_action(A, v, KrylovConfig(dim=cfg.dim, tol=cfg.tol,
+                                                        substeps=substeps), tau=tau)
+            want = v
+            scaled = (A * (tau / substeps)).tocsr()
+            for _ in range(substeps):
+                want = krylov_expm_action(scaled, want, cfg)
+            np.testing.assert_array_equal(got, want)
+
+    def test_horizon_makes_no_copy_of_the_matrix(self, rng):
+        operands = []
+
+        class Recording(sp.csr_matrix):
+            def __matmul__(self, other):
+                operands.append(self)
+                return super().__matmul__(other)
+
+        A = Recording(random_stable_sparse(rng))
+        for tau, substeps in ((0.37, 1), (2.0, 3)):
+            cfg = KrylovConfig(dim=40, tol=1e-12, substeps=substeps)
+            krylov_expm_action(A, rng.standard_normal(50), cfg, tau=tau)
+        assert operands and all(M is A for M in operands)
+
+    def test_over_budget_dim_refused_before_allocating(self):
+        n = 10**6
+        A = sp.identity(n, format="csr")
+        v = np.ones(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgumentError, match="budget"):
+                krylov_expm_action(A, v, KrylovConfig(dim=200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < v.nbytes
+
+    def test_default_dim_is_the_budget_cap(self, rng, monkeypatch):
+        # (dim + 1) * N * 8 <= budget: 130 is the largest dim for N = 1000.
+        monkeypatch.setattr(integrators, "BASIS_BUDGET_BYTES", 2**20)
+        w = np.full(999, 100.0)  # skew: exp(A) v needs about 300 steps
+        A = sp.diags([w, -w], [1, -1]).tocsr()
+        v = rng.standard_normal(1000)
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            krylov_expm_action(A, v, KrylovConfig(dim=131))
+        with pytest.raises(KrylovConvergenceError) as err:
+            krylov_expm_action(A, v, KrylovConfig(tol=1e-13))
+        assert err.value.dim == 130
 
     def test_nilpotent_breakdown_exact(self):
         # Krylov space closes after k steps; the truncated basis gives the

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fxhhw import operators
+from fxhhw.config import bundled_config_path, from_yaml
 from fxhhw.errors import ConfigError, InvalidArgumentError, RangeError
-from fxhhw.fdkm import FdkmConfig, fdkm_price
-from fxhhw.grids import AxisSpec, build_grid
+from fxhhw.grids import AxisSpec, build_grid, uniform_grid
 from fxhhw.integrators import KrylovConfig
 from fxhhw.model import ModelParams, OptionSpec
 from fxhhw.stencils import shape_parameters
@@ -101,6 +101,16 @@ class TestPriceSolutionBasics:
     def test_s0_face_stays_zero_for_call(self, exp1_coarse_field):
         cube = exp1_coarse_field.reshape4()
         np.testing.assert_array_equal(cube[:, :, :, 0], 0.0)
+
+    def test_default_krylov_solves_experiment2(self):
+        # Arnoldi stops on its residual gate at about 170 steps, so the
+        # derived subspace cap gives the dim-600 field bit for bit.
+        cfg = from_yaml(bundled_config_path("experiment2"))
+        args = (cfg.model, cfg.option, cfg.grid())
+        f = price(*args, boundary="abc")
+        want = price(*args, boundary="abc", krylov=KrylovConfig(dim=600))
+        assert f.tau == cfg.option.maturity
+        np.testing.assert_array_equal(f.values, want.values)
 
     def test_krylov_on_time_dependent_operator_rejected(self):
         from conftest import experiment3_model
@@ -258,9 +268,9 @@ class TestGreeks:
             np.testing.assert_array_equal(got, exp)
 
     def test_fd_baseline_field_uses_fd_matrices(self):
-        cfg = FdkmConfig(m=(10, 8, 6, 6), s_max=1400.0)
-        f = fdkm_price(experiment1_model(), OptionSpec("call", 100.0, 1.0), cfg,
-                       krylov=KrylovConfig(dim=400))
+        f = price(experiment1_model(), OptionSpec("call", 100.0, 1.0),
+                  uniform_grid((10, 8, 6, 6), 1400.0), krylov=KrylovConfig(dim=400),
+                  fd_limit=True)
         g = f.grid
         rd, rf = g.rd_nodes[2], g.rf_nodes[3]
         want = self._differentiate(
