@@ -11,48 +11,43 @@ Run:  python demos/01_rbf_weights_and_grids.py
 import numpy as np
 
 from fxhhw import AxisSpec, build_grid, shape_parameters
-from fxhhw.stencils import (
-    StencilGeometry1,
-    StencilGeometry2,
-    collocation_weights_oracle,
-    fd_limit_first_weights,
-    first_derivative_weights,
-    second_derivative_weights,
-)
+from fxhhw.stencils import collocation_weights_oracle, first_weight_rows, second_weight_rows
 
 np.set_printoptions(precision=6, suppress=True)
 
 print("=== three-node first-derivative weights ===")
-geo = StencilGeometry1(h=0.1, omega_plus=1.5, c=2.0)
-ws = first_derivative_weights(geo)
-print("stencil offsets:", ws.node_offsets)
-print("closed-form weights:", ws.weights)
+h, w, c = 0.1, 1.5, 2.0
+offsets = np.array([-h, 0.0, w * h])
+closed = first_weight_rows(h, w, c)
+print("stencil offsets:", offsets)
+print("closed-form weights:", closed)
 
-oracle = collocation_weights_oracle(ws.node_offsets, geo.c, order=1)
-print("dense collocation solve:", oracle.weights)
-gap = np.max(np.abs(ws.weights - oracle.weights)) / np.max(np.abs(oracle.weights))
-print(f"relative gap {gap:.2e}  (~K*(h/c)^2 with h/c = {geo.h/geo.c})")
+oracle = collocation_weights_oracle(offsets, c, order=1)
+print("dense collocation solve:", oracle)
+gap = np.max(np.abs(closed - oracle)) / np.max(np.abs(oracle))
+print(f"relative gap {gap:.2e}  (~K*(h/c)^2 with h/c = {h / c})")
 
 print()
 print("the gap closes quadratically as the kernel widens:")
 for c in (2.0, 8.0, 32.0, 128.0):
-    w = first_derivative_weights(StencilGeometry1(h=0.1, omega_plus=1.5, c=c)).weights
-    o = collocation_weights_oracle([-0.1, 0.0, 0.15], c, 1).weights
-    print(f"  c = {c:6.1f}: gap {np.max(np.abs(w - o)) / np.max(np.abs(o)):.2e}")
+    wc = first_weight_rows(h, w, c)
+    o = collocation_weights_oracle(offsets, c, 1)
+    print(f"  c = {c:6.1f}: gap {np.max(np.abs(wc - o)) / np.max(np.abs(o)):.2e}")
 
 print()
-print("wide-shape limit = classical non-uniform FD weights:")
-print("  c -> inf :", first_derivative_weights(
-    StencilGeometry1(h=0.1, omega_plus=1.5, c=1e9)).weights)
-print("  classical:", fd_limit_first_weights(0.1, 1.5).weights)
+print("wide-shape limit = classical non-uniform FD weights (c=None):")
+print("  c -> inf :", first_weight_rows(h, w, 1e9))
+print("  classical:", first_weight_rows(h, w))
 
 print()
 print("=== four-node second-derivative weights ===")
-ws2 = second_derivative_weights(StencilGeometry2(h=0.1, w_minus2=2.0, w_plus1=1.0, c=5.0))
-print("offsets:", ws2.node_offsets)
-print("weights:", ws2.weights)
-print("applied to x^2 ->", ws2.apply(lambda x: x * x), "(exact second derivative: 2)")
-print("applied to 1   ->", ws2.apply(lambda x: 1.0), "(constants annihilated identically)")
+h, wm, wp = 0.1, 2.0, 1.0
+offsets2 = np.array([-wm * h, -h, 0.0, wp * h])
+w2 = second_weight_rows(h, wm, wp, 5.0)
+print("offsets:", offsets2)
+print("weights:", w2)
+print("applied to x^2 ->", w2 @ offsets2**2, "(exact second derivative: 2)")
+print("applied to 1   ->", w2 @ np.ones(4), "(constants annihilated identically)")
 
 print()
 print("=== sinh-stretched experiment grid ===")
@@ -65,7 +60,6 @@ grid = build_grid(
 print("spot axis      :", np.round(grid.s_nodes, 2))
 print("variance axis  :", np.round(grid.v_nodes, 4))
 print("domestic rates :", np.round(grid.rd_nodes, 4))
-sp = shape_parameters(grid)
-print(f"shape parameters: c_s={sp.c_s:.2f}  c_v={sp.c_v:.2f}  "
-      f"c_rd={sp.c_rd:.2f}  c_rf={sp.c_rf:.2f}")
+print("shape parameters:", "  ".join(f"c_{axis}={c:.2f}"
+                                     for axis, c in shape_parameters(grid).items()))
 print("(c_s ~ 1834.59 and c_rd ~ 3.09 on this 8x6x6x6 box)")

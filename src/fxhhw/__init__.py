@@ -24,7 +24,7 @@ from .errors import (
 )
 from .grids import AxisSpec, Grid4D, build_grid, uniform_grid
 from .model import FellerReport, ModelParams, OptionSpec, correlation_matrix, feller_check
-from .stencils import ShapeParams, WeightSet, shape_parameters
+from .stencils import shape_parameters
 from .operators import AssembledOperator, assemble_operator, impose_boundaries
 from .integrators import (
     KrylovConfig,
@@ -66,9 +66,7 @@ __all__ = [
     "OptionSpec",
     "RangeError",
     "SolutionField",
-    "ShapeParams",
     "SpectralReport",
-    "WeightSet",
     "assemble_operator",
     "build_grid",
     "bundled_config_path",

@@ -9,17 +9,12 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError, ModelConfigError
 from .grids import AxisSpec, Grid4D, build_grid, uniform_grid
 from .mc import McConfig
 from .model import ModelParams, OptionSpec, correlation_matrix
-from .operators import (
-    BOUNDARY_MODES,
-    THETA_MODES,
-    put_pinning_violation,
-    time_dependent_operator,
-)
-from .pricing import SOLVERS
+from .operators import THETA_MODES, boundary_violations, time_dependent_operator
+from .pricing import solver_violations
 
 METHODS = ("pm", "fdkm")
 INTERPOLATIONS = ("linear", "cubic")
@@ -118,6 +113,16 @@ def _require(cond, msg, violations):
         violations.append(msg)
 
 
+def _items(kind, n):
+    """Converter of a sequence of exactly ``n`` items, each by ``kind``."""
+    def convert(value):
+        out = tuple(kind(x) for x in value)
+        if len(out) != n:
+            raise ValueError(value)
+        return out
+    return convert
+
+
 def _mapping(value, where, violations):
     """``value`` as a mapping, None as empty; a non-mapping and each key not
     in ``KNOWN_KEYS`` are violations."""
@@ -133,8 +138,29 @@ def _mapping(value, where, violations):
 
 
 def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
-    """Build and validate a config from a plain dict; collects all violations."""
+    """Build and validate a config from a plain dict; collects all violations.
+
+    Every value is converted to the type it configures; a value that does not
+    convert is a violation like one out of range, so a bad config raises
+    :class:`ConfigError` and nothing else.
+    """
     violations = []
+
+    def convert(value, where, kind=float, what="a number", valid=lambda x: True):
+        """``kind(value)`` when it converts and is ``valid``; otherwise None,
+        with the violation "``where`` must be ``what``" recorded."""
+        try:
+            out = kind(value)
+            if valid(out):
+                return out
+        except (TypeError, ValueError):
+            pass
+        violations.append(f"{where} must be {what}, got {value!r}")
+        return None
+
+    def optional(value, where, kind=float, what="a number"):
+        return None if value is None else convert(value, where, kind, what)
+
     raw = _mapping(raw, "", violations)
     md = _mapping(raw.get("model"), "model", violations)
     corr = _mapping(md.get("correlation"), "model.correlation", violations)
@@ -148,103 +174,94 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
         qs = []
     qs = [_mapping(q, f"queries[{i}]", violations) for i, q in enumerate(qs)]
 
-    for key, positive in (
-        ("kappa", True), ("gamma", True), ("eta_d", True), ("eta_f", True),
-        ("vbar", False), ("v0", False), ("s0", True),
+    positive = ("a positive number", lambda x: x > 0)
+    nonnegative = ("a nonnegative number", lambda x: x >= 0)
+    model_values = {}
+    for key, (what, valid) in (
+        ("kappa", positive), ("gamma", positive), ("eta_d", positive),
+        ("eta_f", positive), ("vbar", nonnegative), ("v0", nonnegative), ("s0", positive),
     ):
-        val = md.get(key)
-        _require(val is not None, f"model.{key} missing", violations)
-        if val is not None:
-            if positive:
-                _require(val > 0, f"model.{key} must be positive, got {val}", violations)
-            else:
-                _require(val >= 0, f"model.{key} must be nonnegative, got {val}", violations)
+        if md.get(key) is None:
+            violations.append(f"model.{key} missing")
+        else:
+            model_values[key] = convert(md[key], f"model.{key}", what=what, valid=valid)
+    for key in ("rd0", "rf0", "lambda_d", "lambda_f"):
+        model_values[key] = convert(md.get(key, 0.0), f"model.{key}")
+    theta_d, theta_f = (
+        convert(md.get(key, (0.0, 0.0, 0.0)), f"model.{key}", _items(float, 3),
+                "3 coefficients (a1, a2, a3)")
+        for key in ("theta_d", "theta_f")
+    )
+    rho = [convert(corr.get(k, 0.0), f"model.correlation.{k}") for k in CORRELATION_KEYS]
     kind = od.get("kind")
     _require(kind in ("call", "put"), f"option.kind must be call|put, got {kind!r}", violations)
-    _require(od.get("strike", 0) > 0, "option.strike must be positive", violations)
-    _require(od.get("maturity", 0) > 0, "option.maturity must be positive", violations)
+    strike, maturity = (convert(od.get(key, 0), f"option.{key}", float, *positive)
+                        for key in ("strike", "maturity"))
 
-    m = tuple(gd.get("m", ()))
-    _require(len(m) == 4 and all(int(x) >= 4 for x in m),
-             f"grid.m must be four sizes >= 4, got {m}", violations)
+    m = convert(gd.get("m", ()), "grid.m", _items(int, 4), "four sizes >= 4",
+                valid=lambda m: min(m) >= 4)
+    # Unset grid keys take the ExperimentConfig defaults.
+    grid = {key: convert(gd[key], f"grid.{key}") for key in GRID_KEYS[1:] if key in gd}
 
     # Unset solver keys take the ExperimentConfig defaults.
     sol = {key: sd.get(key, getattr(ExperimentConfig, key)) for key in SOLVER_KEYS}
-    _require(sol["solver"] in SOLVERS,
-             f"solver must be one of {SOLVERS}, got {sol['solver']!r}", violations)
-    _require(sol["boundary"] in BOUNDARY_MODES,
-             f"boundary must be one of {BOUNDARY_MODES}, got {sol['boundary']!r}", violations)
+    sol["delta_tau"] = optional(sol["delta_tau"], "solver.delta_tau")
+    sol["krylov_dim"] = optional(sol["krylov_dim"], "solver.krylov_dim", int, "an integer")
     _require(sol["theta_mode"] in THETA_MODES,
              f"theta_mode must be one of {THETA_MODES}", violations)
     _require(sol["method"] in METHODS,
              f"method must be one of {METHODS}, got {sol['method']!r}", violations)
     _require(sol["interpolation"] in INTERPOLATIONS,
              f"interpolation must be one of {INTERPOLATIONS}", violations)
-    if sol["solver"] == "midpoint":
-        _require(sol["delta_tau"] is not None and sol["delta_tau"] > 0,
-                 "solver.delta_tau must be positive for the midpoint solver", violations)
+    time_dependent = None not in (theta_d, theta_f) and time_dependent_operator(
+        sol["theta_mode"], theta_d, theta_f
+    )
+    # An unconvertible delta_tau is reported already; the rules would only
+    # repeat it as missing.
+    if sd.get("delta_tau") is None or sol["delta_tau"] is not None:
+        violations += solver_violations(sol["solver"], time_dependent, sol["delta_tau"],
+                                        maturity)
+    violations += boundary_violations(sol["boundary"], kind)
 
-    theta_d = tuple(md.get("theta_d", (0.0, 0.0, 0.0)))
-    theta_f = tuple(md.get("theta_f", (0.0, 0.0, 0.0)))
-    if (
-        sol["solver"] == "krylov"
-        and len(theta_d) == len(theta_f) == 3  # else ModelParams reports the length
-        and time_dependent_operator(sol["theta_mode"], theta_d, theta_f)
-    ):
-        violations.append(
-            "solver 'krylov' requires a time-independent operator; "
-            "use theta_mode 'constant_approx' or solver 'midpoint'"
-        )
-    pinning = put_pinning_violation(sol["boundary"], kind)
-    if pinning:
-        violations.append(pinning)
+    seed = convert(raw.get("seed", 0), "seed", int, "an integer")
+    # McConfig values take the type of their McConfig default.
+    mc_values = {
+        key: convert(val, f"mc.{key}", type(getattr(McConfig, key)), "an integer")
+        for key, val in mcd.items() if key in KNOWN_KEYS["mc"]
+    }
+    queries = [
+        (convert(q.get("point"), f"queries[{i}].point", _items(float, 4),
+                 "four numbers (s, v, rd, rf)"),
+         optional(q.get("reference"), f"queries[{i}].reference"))
+        for i, q in enumerate(qs)
+    ]
 
-    model = option = None
+    model = option = mc_cfg = None
     if not violations:
         try:
             model = ModelParams(
-                s0=float(md["s0"]), v0=float(md["v0"]),
-                rd0=float(md.get("rd0", 0.0)), rf0=float(md.get("rf0", 0.0)),
-                kappa=float(md["kappa"]), vbar=float(md["vbar"]), gamma=float(md["gamma"]),
-                lambda_d=float(md.get("lambda_d", 0.0)), lambda_f=float(md.get("lambda_f", 0.0)),
-                eta_d=float(md["eta_d"]), eta_f=float(md["eta_f"]),
-                theta_d_params=theta_d, theta_f_params=theta_f,
-                correlation=correlation_matrix(*(corr.get(k, 0.0) for k in CORRELATION_KEYS)),
+                **model_values, theta_d_params=theta_d, theta_f_params=theta_f,
+                correlation=correlation_matrix(*rho),
             )
-            option = OptionSpec(kind=kind, strike=float(od["strike"]),
-                                maturity=float(od["maturity"]))
-        except Exception as err:  # surfaced with the rest, field-specific
+            option = OptionSpec(kind=kind, strike=strike, maturity=maturity)
+            if mcd:
+                mc_cfg = McConfig(**{"seed": seed, **mc_values})
+        except (ModelConfigError, InvalidArgumentError) as err:  # field-specific
             violations.append(str(err))
     if violations:
         raise ConfigError(violations)
 
-    queries = [
-        QueryPoint(point=tuple(float(x) for x in q["point"]),
-                   reference=q.get("reference"), label=q.get("label", ""))
-        for q in qs
-    ]
-    mc_cfg = None
-    if mcd:
-        # Each value takes the type of its McConfig default.
-        mc_cfg = McConfig(**{key: type(getattr(McConfig, key))(val)
-                             for key, val in {"seed": raw.get("seed", 0), **mcd}.items()})
-    if sol["delta_tau"] is not None:
-        sol["delta_tau"] = float(sol["delta_tau"])
-    if sol["krylov_dim"] is not None:
-        sol["krylov_dim"] = int(sol["krylov_dim"])
-    # Unset grid keys take the ExperimentConfig defaults.
-    grid = {"s_max": 14.0 * option.strike,
-            **{key: float(gd[key]) for key in GRID_KEYS[1:] if key in gd}}
     return ExperimentConfig(
         name=raw.get("name", name),
         model=model,
         option=option,
-        m=tuple(int(x) for x in m),
-        **grid,
+        m=m,
+        **{"s_max": 14.0 * option.strike, **grid},
         **sol,
-        queries=queries,
+        queries=[QueryPoint(point=point, reference=ref, label=q.get("label", ""))
+                 for (point, ref), q in zip(queries, qs)],
         mc=mc_cfg,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         compute_lambda_max=bool(raw.get("compute_lambda_max", False)),
     )
 

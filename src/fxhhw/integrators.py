@@ -240,7 +240,6 @@ class SpectralReport:
     re_lambda_max: float | None
     sym_lambda_max: float
     rightmost_re: float | None
-    iterations: int
     converged: bool
 
 
@@ -260,7 +259,7 @@ def estimate_lambda_max(A):
         ev = np.linalg.eigvals(dense)
         sym_max = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1])
         dom = float(ev[np.argmax(np.abs(ev))].real)
-        return SpectralReport(dom, sym_max, float(ev.real.max()), n, True)
+        return SpectralReport(dom, sym_max, float(ev.real.max()), True)
 
     start = np.random.default_rng(0).standard_normal(n)
     converged = True
@@ -292,4 +291,4 @@ def estimate_lambda_max(A):
         converged = False
         vals = getattr(err, "eigenvalues", None)
         sym_max = float(vals[0]) if vals is not None and len(vals) else np.nan
-    return SpectralReport(dom, sym_max, None, ncv, converged)
+    return SpectralReport(dom, sym_max, None, converged)

@@ -47,12 +47,18 @@ def time_dependent_operator(theta_mode, theta_d_params, theta_f_params):
     )
 
 
-def put_pinning_violation(mode, kind):
-    """The message for a put under a mode that pins s=0, else None."""
+def boundary_violations(mode, kind):
+    """Every violation of the boundary rules for an option of ``kind``.
+
+    The mode must be one of ``BOUNDARY_MODES``, and a put may not take a mode
+    that pins s=0 at the payoff.  Returns [] when the pair is valid.
+    """
+    if mode not in BOUNDARY_MODES:
+        return [f"boundary must be one of {BOUNDARY_MODES}, got {mode!r}"]
     if mode in ("dirichlet", "neumann_flux") and kind == "put":
-        return (f"boundary mode {mode!r} pins s=0 at the payoff, which is wrong for a "
-                "put whose s=0 value decays with the domestic discount; use mode 'abc'")
-    return None
+        return [f"boundary mode {mode!r} pins s=0 at the payoff, which is wrong for a "
+                "put whose s=0 value decays with the domestic discount; use mode 'abc'"]
+    return []
 
 
 def _check_increments(nodes):
@@ -91,20 +97,14 @@ def first_derivative_matrix(nodes, c):
     if m < 3:
         raise InvalidArgumentError("first-derivative matrix needs >= 3 nodes")
     d = _check_increments(nodes)
-    h, omega = d[:-1], d[1:] / d[:-1]
-    stencils.check_geometry(h, c, omega_plus=omega)
+    interior = stencils.first_weight_rows(d[:-1], d[1:] / d[:-1], c)
     # One-sided two-node end rows; same weight pair at both ends.
-    if c is None:
-        w0, wm = (-1.0 / d[0], 1.0 / d[0]), (-1.0 / d[-1], 1.0 / d[-1])
-    else:
-        w0 = stencils.boundary_first_weights(d[0], c).weights
-        wm = stencils.boundary_first_weights(d[-1], c).weights
     A = _stencil_matrix(m, [
-        (0, (0, 1), w0),
-        (np.arange(1, m - 1), (-1, 0, 1), stencils.first_weight_rows(h, omega, c)),
-        (m - 1, (-1, 0), wm),
+        (0, (0, 1), stencils.boundary_first_row(d[0], c)),
+        (np.arange(1, m - 1), (-1, 0, 1), interior),
+        (m - 1, (-1, 0), stencils.boundary_first_row(d[-1], c)),
     ])
-    _warn_shape_regime(nodes, c, order=1)
+    _warn_narrow_shape(nodes, c, order=1)
     return A
 
 
@@ -113,7 +113,7 @@ def second_derivative_matrix(nodes, c):
 
     Rows 3..m-1 carry the four-node weights, row 2 the three-node
     near-boundary weights, rows 1 and m the two-node one-sided pair
-    (which vanishes in the FD limit ``c=None``).
+    (which vanishes in the FD limit ``c=None``: the end rows stay empty).
     """
     nodes = np.asarray(nodes, dtype=float)
     m = nodes.size
@@ -122,28 +122,20 @@ def second_derivative_matrix(nodes, c):
     d = _check_increments(nodes)
     i = np.arange(2, m - 1)
     h = d[i - 1]
-    wm, wp = (nodes[i] - nodes[i - 2]) / h, d[i] / h
-    stencils.check_geometry(h, c, w_plus1=wp, w_minus2_minus_1=wm - 1.0)
-    # Row 2: three nodes, left gap d[0], right gap d[1].
-    if c is None:
-        hl, hr = d[0], d[1]
-        w2 = (2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr)))
-    else:
-        w2 = stencils.near_boundary_second_weights(d[0], d[1] / d[0], c).weights
+    interior = stencils.second_weight_rows(h, (nodes[i] - nodes[i - 2]) / h, d[i] / h, c)
     blocks = [
-        (1, (-1, 0, 1), w2),
-        (i, (-2, -1, 0, 1), stencils.second_weight_rows(h, wm, wp, c)),
+        (1, (-1, 0, 1), stencils.near_boundary_second_row(d[0], d[1], c)),
+        (i, (-2, -1, 0, 1), interior),
     ]
-    # End rows: the (-4/c^2, 2/c^2) pair; zero in the FD limit.
     if c is not None:
-        pair = stencils.boundary_second_weights(c).weights
+        pair = stencils.boundary_second_row(c)
         blocks += [(0, (0, 1), pair), (m - 1, (-1, 0), pair)]
     A = _stencil_matrix(m, blocks)
-    _warn_shape_regime(nodes, c, order=2)
+    _warn_narrow_shape(nodes, c, order=2)
     return A
 
 
-def _warn_shape_regime(nodes, c, order):
+def _warn_narrow_shape(nodes, c, order):
     # The per-axis shape rule pins c/h at 2-3 on the coarsest cell by
     # construction; the regime diagnostic compares against the finest cell,
     # where healthy grids sit at c/h of a few tens to hundreds.
@@ -311,11 +303,7 @@ def assemble_operator(
         raise InvalidArgumentError(f"unknown theta_mode {theta_mode!r}")
     if grid.v_nodes[0] < 0:
         raise InvalidArgumentError("variance axis contains negative nodes")
-    if fd_limit:
-        c_of = dict.fromkeys(AXES)
-    else:
-        shapes = stencils.shape_parameters(grid)
-        c_of = {ax: shapes.for_axis(ax) for ax in AXES}
+    c_of = dict.fromkeys(AXES) if fd_limit else stencils.shape_parameters(grid)
 
     D1 = {ax: first_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
     D2 = {ax: second_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
@@ -379,11 +367,9 @@ def impose_boundaries(
     Calls are singular by construction in the pinned modes (zero rows).
     Overlapping faces at corners resolve with precedence s > v > rd > rf.
     """
-    if mode not in BOUNDARY_MODES:
-        raise ConfigError([f"unknown boundary mode {mode!r}"])
-    violation = put_pinning_violation(mode, option.kind)
-    if violation:
-        raise ConfigError([violation])
+    violations = boundary_violations(mode, option.kind)
+    if violations:
+        raise ConfigError(violations)
 
     masks = face_masks(op.grid)
     base, bd, bf = op.base, op.theta_d_part, op.theta_f_part

@@ -22,6 +22,41 @@ from .model import ModelParams, OptionSpec, feller_check
 
 SOLVERS = ("auto", "krylov", "midpoint")
 
+
+def _resolve_solver(solver, time_dependent):
+    """The solver ``auto`` stands for: midpoint when the operator is
+    time-dependent, krylov otherwise."""
+    if solver == "auto":
+        return "midpoint" if time_dependent else "krylov"
+    return solver
+
+
+def solver_violations(solver, time_dependent, delta_tau, maturity):
+    """Every violation of the solver rules; [] when the request is valid.
+
+    The name must be one of ``SOLVERS``; krylov needs a time-independent
+    operator; midpoint, named or resolved from ``auto``, needs a positive
+    ``delta_tau`` that divides the maturity (``maturity=None``, an invalid
+    maturity already reported, skips that last check).
+    """
+    if solver not in SOLVERS:
+        return [f"solver must be one of {SOLVERS}, got {solver!r}"]
+    solver = _resolve_solver(solver, time_dependent)
+    if solver == "krylov" and time_dependent:
+        return ["solver 'krylov' requires a time-independent operator; "
+                "use theta_mode 'constant_approx' or solver 'midpoint'"]
+    if solver != "midpoint":
+        return []
+    if delta_tau is None or not delta_tau > 0:
+        return [f"solver.delta_tau must be positive for the midpoint solver, got {delta_tau}"]
+    if maturity is not None:
+        try:
+            MidpointConfig.from_horizon(maturity, delta_tau)
+        except InvalidArgumentError:
+            return [f"solver.delta_tau {delta_tau} does not divide the maturity {maturity}"]
+    return []
+
+
 try:
     # glibc's malloc_trim; other C libraries do not have it.
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
@@ -182,25 +217,22 @@ def price(
     """Solve the backward PDE from the payoff to tau = maturity.
 
     ``solver='auto'`` picks the Krylov exponential when the operator is
-    time-independent and the midpoint stepper otherwise; the solver choice is
-    checked before anything is assembled.  The initial condition is the raw
-    (unsmoothed) payoff.  The returned field carries the operator it solved.
+    time-independent and the midpoint stepper otherwise.  The solver and
+    boundary rules (:func:`solver_violations`,
+    :func:`operators.boundary_violations`) are checked before anything is
+    assembled.  The initial condition is the raw (unsmoothed) payoff.  The
+    returned field carries the operator it solved.
     """
-    if solver not in SOLVERS:
-        raise ConfigError([f"unknown solver {solver!r}"])
     time_dependent = operators.time_dependent_operator(
         theta_mode, model.theta_d_params, model.theta_f_params
     )
-    if solver == "auto":
-        solver = "midpoint" if time_dependent else "krylov"
-    if solver == "krylov" and time_dependent:
-        raise ConfigError(["krylov solver requires a time-independent operator; use "
-                           "theta_mode='constant_approx' or the midpoint solver"])
+    violations = solver_violations(
+        solver, time_dependent, delta_tau, option.maturity
+    ) + operators.boundary_violations(boundary, option.kind)
+    if violations:
+        raise ConfigError(violations)
+    solver = _resolve_solver(solver, time_dependent)
     T = option.maturity
-    if solver == "midpoint":
-        if delta_tau is None:
-            raise ConfigError(["midpoint solver requires delta_tau"])
-        steps = MidpointConfig.from_horizon(T, delta_tau)
     fl = feller_check(model)
     if not fl.satisfied:
         warnings.warn(
@@ -219,7 +251,7 @@ def price(
     if solver == "krylov":
         v = krylov_expm_action(op.matrix(0.0), v0, krylov or KrylovConfig(), tau=T)
     else:
-        v = modified_midpoint_solve(op, v0, steps)
+        v = modified_midpoint_solve(op, v0, MidpointConfig.from_horizon(T, delta_tau))
     return SolutionField(values=v, grid=grid, tau=T, operator=op)
 
 

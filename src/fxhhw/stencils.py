@@ -1,11 +1,21 @@
 """Closed-form Gaussian RBF-FD weights on non-uniform 1D stencils.
 
-First derivatives use a three-node stencil ``{x-h, x, x+omega*h}``, second
-derivatives a four-node stencil ``{x-wm*h, x-h, x, x+wp*h}``.  The closed
-forms are the printed two-term forms: the leading 1/h finite-difference part
-plus one h/c^2 term.  As ``c -> inf`` they reduce to the classical non-uniform
-FD weights (available directly via the ``fd_limit_*`` helpers, which the
-uniform-grid baseline scheme reuses).
+One function per kind of differentiation-matrix row, each returning plain
+weight arrays and validating its own geometry through :func:`check_geometry`:
+
+- :func:`first_weight_rows`: three nodes ``{x-h, x, x+w*h}``, first derivative;
+- :func:`second_weight_rows`: four nodes ``{x-wm*h, x-h, x, x+wp*h}``, second
+  derivative;
+- :func:`near_boundary_second_row`: three nodes ``{x-hl, x, x+hr}``, second
+  derivative on the second grid row;
+- :func:`boundary_first_row` and :func:`boundary_second_row`: the two-node
+  one-sided pairs of the end rows.
+
+The first two evaluate elementwise over arrays of steps and ratios, so a
+matrix builder fills every interior row in one call.  The closed forms are
+the printed two-term forms: the leading 1/h finite-difference part plus one
+h/c^2 term.  ``c=None`` gives each row's classical non-uniform FD weights,
+the c -> inf limit, which the uniform-grid baseline scheme uses.
 
 A brute-force dense collocation solver is provided as an independent oracle:
 it computes weights that reproduce the exact derivative of every Gaussian
@@ -19,9 +29,6 @@ wide-shape limit.
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +49,19 @@ class ShapeParameterWarning(UserWarning):
     """Shape parameter is not well separated from the local step size."""
 
 
-def check_geometry(h, c, **ratios):
-    """Reject non-positive steps, step ratios below ``RATIO_FLOOR`` and c < h.
+def check_geometry(h, c=None, below_step_ok=False, **ratios):
+    """Reject non-positive steps, step ratios below ``RATIO_FLOOR`` and bad c.
 
     Elementwise over arrays of steps and ratios, so one call checks every row
-    of a differentiation matrix; ``c=None`` (the FD limit) skips the shape
-    checks.
+    of a differentiation matrix.  ``h=None`` skips the step checks and
+    ``c=None`` (the FD limit) the shape checks.  A shape parameter must be
+    positive and finite, and at least the step unless ``below_step_ok``: the
+    interior stencils hold to that rule, the end rows and row 2 do not.
     """
-    h = np.asarray(h, dtype=float)
-    if not np.all((h > 0) & np.isfinite(h)):
-        raise InvalidArgumentError(f"h must be positive, got {np.min(h)}")
+    if h is not None:
+        h = np.asarray(h, dtype=float)
+        if not np.all((h > 0) & np.isfinite(h)):
+            raise InvalidArgumentError(f"h must be positive, got {np.min(h)}")
     for name, r in ratios.items():
         if not np.all(np.asarray(r) >= RATIO_FLOOR):
             raise InvalidArgumentError(
@@ -61,94 +71,10 @@ def check_geometry(h, c, **ratios):
         return
     if not (c > 0 and np.isfinite(c)):
         raise InvalidArgumentError(f"c must be positive, got {c}")
-    if np.any(c < h):
+    if not below_step_ok and h is not None and np.any(c < h):
         raise InvalidArgumentError(
             f"shape parameter c={c} below the step h={np.max(h)}"
         )
-
-
-def _warn_shape_regime(h, c, where):
-    if c < SHAPE_WARN_RATIO * h:
-        warnings.warn(
-            f"{where}: c/h = {c / h:.3g} < {SHAPE_WARN_RATIO}; weights are "
-            "outside their asymptotic validity regime",
-            ShapeParameterWarning,
-            stacklevel=3,
-        )
-
-
-@dataclass(frozen=True)
-class StencilGeometry1:
-    """Three-node stencil geometry: left step h, right step omega_plus*h."""
-
-    h: float
-    omega_plus: float
-    c: float
-
-    def __post_init__(self):
-        check_geometry(self.h, self.c, omega_plus=self.omega_plus)
-        _warn_shape_regime(self.h, self.c, "StencilGeometry1")
-
-    @property
-    def offsets(self):
-        return np.array([-self.h, 0.0, self.omega_plus * self.h])
-
-
-@dataclass(frozen=True)
-class StencilGeometry2:
-    """Four-node stencil geometry: nodes at {-w_minus2*h, -h, 0, +w_plus1*h}."""
-
-    h: float
-    w_minus2: float
-    w_plus1: float
-    c: float
-
-    def __post_init__(self):
-        # w_minus2 = 1 collapses nodes i-2 and i-1; < 1 breaks the ordering.
-        check_geometry(
-            self.h, self.c, w_plus1=self.w_plus1, w_minus2_minus_1=self.w_minus2 - 1.0
-        )
-        _warn_shape_regime(self.h, self.c, "StencilGeometry2")
-
-    @property
-    def offsets(self):
-        return np.array([-self.w_minus2 * self.h, -self.h, 0.0, self.w_plus1 * self.h])
-
-
-@dataclass(frozen=True)
-class WeightSet:
-    """Stencil weights paired with the node offsets they multiply."""
-
-    weights: np.ndarray
-    node_offsets: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        d = np.atleast_1d(np.asarray(self.node_offsets, dtype=float))
-        if w.shape != d.shape:
-            raise InvalidArgumentError("weights and node_offsets lengths differ")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "node_offsets", d)
-
-    def apply(self, f, x0=0.0):
-        """Apply the weights to callable ``f`` around center ``x0``."""
-        vals = np.asarray(f(x0 + self.node_offsets), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(self.weights.shape, float(vals))
-        return float(np.dot(self.weights, vals))
-
-
-@dataclass(frozen=True)
-class ShapeParams:
-    """Per-axis Gaussian shape parameters tied to the largest axis increment."""
-
-    c_s: float
-    c_v: float
-    c_rd: float
-    c_rf: float
-
-    def for_axis(self, axis):
-        return {"s": self.c_s, "v": self.c_v, "rd": self.c_rd, "rf": self.c_rf}[axis]
 
 
 def gaussian_rbf(r, c):
@@ -165,10 +91,11 @@ def gaussian_rbf(r, c):
 def first_weight_rows(h, w, c=None):
     """Three-node first-derivative weights (alpha_{i-1}, alpha_i, alpha_{i+1}).
 
-    Elementwise over arrays of steps ``h`` and ratios ``w``: returns a
-    (3, ...) array.  ``c=None`` gives the classical FD limit.  No validation;
-    see :func:`check_geometry`.
+    Stencil {x-h, x, x+w*h}, elementwise over arrays of steps ``h`` and
+    ratios ``w``: returns a (3, ...) array.  ``c=None`` gives the classical
+    FD limit.
     """
+    check_geometry(h, c, omega_plus=w)
     if c is None:
         am = -w / (h * (w + 1.0))
         a0 = (w - 1.0) / (h * w)
@@ -185,9 +112,12 @@ def first_weight_rows(h, w, c=None):
 def second_weight_rows(h, wm, wp, c=None):
     """Four-node second-derivative weights (beta_{i-2}, ..., beta_{i+1}).
 
-    Elementwise over arrays of ``h``, ``wm``, ``wp``: returns a (4, ...)
-    array.  ``c=None`` gives the classical FD limit.  No validation.
+    Stencil {x-wm*h, x-h, x, x+wp*h}, elementwise over arrays of ``h``,
+    ``wm``, ``wp``: returns a (4, ...) array.  ``c=None`` gives the classical
+    FD limit.
     """
+    # wm = 1 collapses nodes i-2 and i-1; wm < 1 breaks the ordering.
+    check_geometry(h, c, w_plus1=wp, w_minus2_minus_1=wm - 1.0)
     if c is None:
         h2 = h * h
         bm2 = 2.0 * (wp - 1.0) / (h2 * (wm - 1.0) * wm * (wm + wp))
@@ -222,105 +152,71 @@ def second_weight_rows(h, wm, wp, c=None):
     return np.array([bm2, bm1, b0, bp1])
 
 
-def first_derivative_weights(g: StencilGeometry1) -> WeightSet:
-    """Three-node first-derivative weights (alpha_{i-1}, alpha_i, alpha_{i+1})."""
-    return WeightSet(first_weight_rows(g.h, g.omega_plus, g.c), g.offsets)
-
-
-def second_derivative_weights(g: StencilGeometry2) -> WeightSet:
-    """Four-node second-derivative weights (beta_{i-2}, ..., beta_{i+1})."""
-    return WeightSet(second_weight_rows(g.h, g.w_minus2, g.w_plus1, g.c), g.offsets)
-
-
-def boundary_first_weights(h, c) -> WeightSet:
-    """Two-node one-sided first-derivative weights for the first grid row.
-
-    Returns (h/c^2 - 1/h, 1/h) on offsets (0, h).  The last row uses the same
-    pair on offsets (-h, 0).
-    """
-    if not h > 0:
-        raise InvalidArgumentError(f"step must be positive, got {h}")
-    if not c > 0:
-        raise InvalidArgumentError(f"shape parameter must be positive, got {c}")
-    return WeightSet(np.array([h / (c * c) - 1.0 / h, 1.0 / h]), np.array([0.0, h]))
-
-
-def boundary_second_weights(c, h=1.0) -> WeightSet:
-    """Two-node one-sided second-derivative weights (-4/c^2, 2/c^2).
-
-    The weights are independent of the step; ``h`` only fixes the reported
-    node offsets (0, h).
-    """
-    if not c > 0:
-        raise InvalidArgumentError(f"shape parameter must be positive, got {c}")
-    if not h > 0:
-        raise InvalidArgumentError(f"step must be positive, got {h}")
-    c2 = c * c
-    return WeightSet(np.array([-4.0 / c2, 2.0 / c2]), np.array([0.0, h]))
-
-
-def near_boundary_second_weights(h, omega1, c) -> WeightSet:
+def near_boundary_second_row(hl, hr, c=None):
     """Three-node second-derivative weights for the second grid row.
 
-    Stencil {x2 - h, x2, x2 + omega1*h}: left gap h, right gap omega1*h (the
-    same step-ratio convention as the three-node first-derivative stencil).
-    In the wide-shape limit this reduces exactly to the classical non-uniform
-    central second difference.  First-order only; used where the four-node
-    stencil would need a ghost node.
+    Stencil {x-hl, x, x+hr}.  The closed form is written in the step ratio
+    omega = hr/hl, the convention of the three-node first-derivative
+    stencil; ``c=None`` gives the classical non-uniform central second
+    difference, its wide-shape limit.  First-order only; used where the
+    four-node stencil would need a ghost node.
     """
-    if not h > 0:
-        raise InvalidArgumentError(f"step must be positive, got {h}")
-    if not omega1 >= RATIO_FLOOR:
-        raise InvalidArgumentError(f"omega1 must be >= {RATIO_FLOOR}, got {omega1}")
-    if not c > 0:
-        raise InvalidArgumentError(f"shape parameter must be positive, got {c}")
+    if c is None:
+        check_geometry(np.array([hl, hr]))
+        return np.array([2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr))])
+    w = hr / hl
+    check_geometry(hl, c, below_step_ok=True, omega1=w)
     c2 = c * c
-    h2 = h * h
-    b1 = 2.0 * ((2.0 * (omega1 - 2.0) * omega1 + 5.0) / c2 + 3.0 / h2) / (
-        3.0 * (omega1 + 1.0)
+    h2 = hl * hl
+    b1 = 2.0 * ((2.0 * (w - 2.0) * w + 5.0) / c2 + 3.0 / h2) / (3.0 * (w + 1.0))
+    b2 = 2.0 * ((-2.0 * w * w + w - 2.0) / c2 - 3.0 / h2) / (3.0 * w)
+    b3 = (6.0 * c2 + 2.0 * h2 * (w * (5.0 * w - 4.0) + 2.0)) / (
+        3.0 * c2 * h2 * w * (w + 1.0)
     )
-    b2 = 2.0 * ((-2.0 * omega1 * omega1 + omega1 - 2.0) / c2 - 3.0 / h2) / (
-        3.0 * omega1
-    )
-    b3 = (6.0 * c2 + 2.0 * h2 * (omega1 * (5.0 * omega1 - 4.0) + 2.0)) / (
-        3.0 * c2 * h2 * omega1 * (omega1 + 1.0)
-    )
-    return WeightSet(np.array([b1, b2, b3]), np.array([-h, 0.0, omega1 * h]))
+    return np.array([b1, b2, b3])
 
 
-def fd_limit_first_weights(h, omega) -> WeightSet:
-    """Classical non-uniform 3-node first-derivative weights (c -> inf limit)."""
-    check_geometry(h, None, omega=omega)
-    return WeightSet(first_weight_rows(h, omega), np.array([-h, 0.0, omega * h]))
+def boundary_first_row(h, c=None):
+    """Two-node one-sided first-derivative weights for the end rows.
+
+    (h/c^2 - 1/h, 1/h) on the first row's offsets (0, h); the last row uses
+    the same pair on (-h, 0).  ``c=None`` gives the FD pair (-1/h, 1/h).
+    """
+    check_geometry(h, c, below_step_ok=True)
+    if c is None:
+        return np.array([-1.0 / h, 1.0 / h])
+    return np.array([h / (c * c) - 1.0 / h, 1.0 / h])
 
 
-def fd_limit_second_weights(h, wm, wp) -> WeightSet:
-    """Classical non-uniform 4-node second-derivative weights (c -> inf limit)."""
-    check_geometry(h, None, wp=wp, wm_minus_1=wm - 1.0)
-    return WeightSet(
-        second_weight_rows(h, wm, wp), np.array([-wm * h, -h, 0.0, wp * h])
-    )
+def boundary_second_row(c):
+    """Two-node one-sided second-derivative weights (-4/c^2, 2/c^2).
+
+    The pair is independent of the step, and vanishes in the FD limit, where
+    the end rows of a second-derivative matrix are empty.
+    """
+    check_geometry(None, c)
+    c2 = c * c
+    return np.array([-4.0 / c2, 2.0 / c2])
 
 
-def shape_parameters(grid) -> ShapeParams:
-    """Per-axis shape parameters: c_s = 2 max(ds), c_v/c_rd/c_rf = 3 max(d.)."""
-    for name in ("s_nodes", "v_nodes", "rd_nodes", "rf_nodes"):
-        if len(getattr(grid, name)) < 2:
-            raise InvalidArgumentError(f"axis {name} needs at least 2 nodes")
-    return ShapeParams(
-        c_s=2.0 * float(np.max(grid.ds)),
-        c_v=3.0 * float(np.max(grid.dv)),
-        c_rd=3.0 * float(np.max(grid.drd)),
-        c_rf=3.0 * float(np.max(grid.drf)),
-    )
+def shape_parameters(grid):
+    """Per-axis shape parameters {axis: c}: c = 2 max(ds) on the spot axis
+    and 3 max(d) on the variance and rate axes."""
+    steps = {"s": grid.ds, "v": grid.dv, "rd": grid.drd, "rf": grid.drf}
+    for axis, d in steps.items():
+        if len(d) < 1:
+            raise InvalidArgumentError(f"axis {axis} needs at least 2 nodes")
+    return {axis: (2.0 if axis == "s" else 3.0) * float(np.max(d))
+            for axis, d in steps.items()}
 
 
-def collocation_weights_oracle(node_offsets, c, order) -> WeightSet:
+def collocation_weights_oracle(node_offsets, c, order):
     """Brute-force RBF-FD weights from the dense Gaussian collocation system.
 
     Solves the n x n system whose solution reproduces the ``order``-th
     derivative, at offset 0, of every Gaussian basis function centered at the
-    stencil nodes.  Partial-pivoting LU via LAPACK; refuses systems with a
+    stencil nodes, and returns the n weights in the order of
+    ``node_offsets``.  Partial-pivoting LU via LAPACK; refuses systems with a
     condition estimate above ``ORACLE_COND_LIMIT``.
 
     The float64 solve loses accuracy as c/h grows (the flat limit of Gaussian
@@ -351,4 +247,4 @@ def collocation_weights_oracle(node_offsets, c, order) -> WeightSet:
         rhs = g * (2.0 * d / c**2)
     else:
         rhs = g * (4.0 * d**2 / c**4 - 2.0 / c**2)
-    return WeightSet(np.linalg.solve(A, rhs), d)
+    return np.linalg.solve(A, rhs)

@@ -23,15 +23,7 @@ from fxhhw.integrators import (
 from fxhhw.mc import McConfig, simulate_price
 from fxhhw.model import ModelParams, OptionSpec
 from fxhhw.pricing import greeks, price, relative_error, roc
-from fxhhw.stencils import (
-    StencilGeometry1,
-    StencilGeometry2,
-    collocation_weights_oracle,
-    fd_limit_first_weights,
-    fd_limit_second_weights,
-    first_derivative_weights,
-    second_derivative_weights,
-)
+from fxhhw.stencils import collocation_weights_oracle, first_weight_rows, second_weight_rows
 from conftest import experiment1_model, experiment3_model, experiment_grid
 
 E = 100.0
@@ -168,10 +160,8 @@ def test_criterion_5_weight_level_properties(rng):
         w = rng.uniform(0.5, 2.0)
         ratio = 10.0 ** rng.uniform(-2.3, -1.0)  # h/c in [5e-3, 0.1]
         c = h / ratio
-        closed = first_derivative_weights(
-            StencilGeometry1(h=h, omega_plus=w, c=c)
-        ).weights
-        oracle = collocation_weights_oracle([-h, 0.0, w * h], c, 1).weights
+        closed = first_weight_rows(h, w, c)
+        oracle = collocation_weights_oracle([-h, 0.0, w * h], c, 1)
         record(3, closed, oracle, ratio)
     for _ in range(500):
         h = 10.0 ** rng.uniform(-2.0, 0.5)
@@ -179,10 +169,8 @@ def test_criterion_5_weight_level_properties(rng):
         wp = rng.uniform(0.5, 2.0)
         ratio = 10.0 ** rng.uniform(np.log10(0.02), -1.0)  # h/c in [0.02, 0.1]
         c = h / ratio
-        closed = second_derivative_weights(
-            StencilGeometry2(h=h, w_minus2=wm, w_plus1=wp, c=c)
-        ).weights
-        oracle = collocation_weights_oracle([-wm * h, -h, 0.0, wp * h], c, 2).weights
+        closed = second_weight_rows(h, wm, wp, c)
+        oracle = collocation_weights_oracle([-wm * h, -h, 0.0, wp * h], c, 2)
         record(4, closed, oracle, ratio)
     oracle_ok = all(worst[n] <= gap_bound[n] for n in gap_bound)
 
@@ -192,15 +180,11 @@ def test_criterion_5_weight_level_properties(rng):
         h = 10.0 ** rng.uniform(-2.0, 0.5)
         w = rng.uniform(0.5, 2.0)
         wm = rng.uniform(1.2, 2.5)
-        got1 = first_derivative_weights(
-            StencilGeometry1(h=h, omega_plus=w, c=1e8 * h)
-        ).weights
-        ref1 = fd_limit_first_weights(h, w).weights
+        got1 = first_weight_rows(h, w, 1e8 * h)
+        ref1 = first_weight_rows(h, w)
         fd_worst = max(fd_worst, np.max(np.abs(got1 - ref1)) / np.max(np.abs(ref1)))
-        got2 = second_derivative_weights(
-            StencilGeometry2(h=h, w_minus2=wm, w_plus1=w, c=1e8 * h)
-        ).weights
-        ref2 = fd_limit_second_weights(h, wm, w).weights
+        got2 = second_weight_rows(h, wm, w, 1e8 * h)
+        ref2 = second_weight_rows(h, wm, w)
         fd_worst = max(fd_worst, np.max(np.abs(got2 - ref2)) / np.max(np.abs(ref2)))
     fd_ok = fd_worst <= 1e-8
 
@@ -210,21 +194,14 @@ def test_criterion_5_weight_level_properties(rng):
 
     x0 = 0.4
     errs1 = [
-        abs(
-            first_derivative_weights(
-                StencilGeometry1(h=h, omega_plus=1.37, c=10.0 / h)
-            ).apply(np.sin, x0)
-            - np.cos(x0)
-        )
+        abs(first_weight_rows(h, 1.37, 10.0 / h) @ np.sin(x0 + np.array([-h, 0.0, 1.37 * h]))
+            - np.cos(x0))
         for h in (0.2, 0.1, 0.05, 0.025)
     ]
     errs2 = [
-        abs(
-            second_derivative_weights(
-                StencilGeometry2(h=h, w_minus2=1.6, w_plus1=0.8, c=10.0 / h)
-            ).apply(np.sin, x0)
-            + np.sin(x0)
-        )
+        abs(second_weight_rows(h, 1.6, 0.8, 10.0 / h)
+            @ np.sin(x0 + np.array([-1.6 * h, -h, 0.0, 0.8 * h]))
+            + np.sin(x0))
         for h in (0.2, 0.1, 0.05, 0.025)
     ]
     orders_ok = order(errs1) >= 1.8 and order(errs2) >= 1.8

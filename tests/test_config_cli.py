@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fxhhw import cli, operators, runner
+from fxhhw import cli, operators, pricing, runner
 from fxhhw.config import bundled_config_path, from_dict, from_yaml
 from fxhhw.errors import ConfigError
 from fxhhw.mc import McConfig
@@ -128,6 +128,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             from_dict(raw)
         assert err.value.violations[0].startswith("queries must be a list")
+
+    @pytest.mark.parametrize("solver, delta_tau", [("midpoint", 0.3), ("auto", 0.3),
+                                                   ("auto", None), ("midpoint", 0.0)])
+    def test_midpoint_delta_tau_must_divide_maturity(self, solver, delta_tau):
+        # Experiment-3 levels: 'auto' resolves to the midpoint solver.
+        raw = tiny_config_dict()
+        raw["model"]["theta_d"] = [0.074, 0.014, 2.10]
+        raw["solver"].update(solver=solver, delta_tau=delta_tau)
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations == [
+            pricing.solver_violations(solver, True, delta_tau, 1.0)[0]]
+        assert err.value.violations[0].startswith("solver.delta_tau ")
+        raw["solver"]["delta_tau"] = 0.25
+        assert from_dict(raw).delta_tau == 0.25
 
     def test_put_with_pinning_boundary_rejected(self):
         raw = tiny_config_dict()
@@ -322,6 +337,39 @@ class TestCli:
         for line, item in zip(err, bad):
             assert line.startswith(f"config error: --at item {item!r} ")
         assert not (tmp_path / "slice.csv").exists()
+
+    @pytest.mark.parametrize("entry, key, value, message", [
+        ("option", "strike", "abc", "option.strike must be a positive number, got 'abc'"),
+        ("model", "kappa", "abc", "model.kappa must be a positive number, got 'abc'"),
+        ("grid", "m", 5, "grid.m must be four sizes >= 4, got 5"),
+        ("grid", "m", [8, "x", 6, 6], "grid.m must be four sizes >= 4, got [8, 'x', 6, 6]"),
+        ("grid", "s_max", "big", "grid.s_max must be a number, got 'big'"),
+        ("solver", "krylov_dim", "x", "solver.krylov_dim must be an integer, got 'x'"),
+        ("mc", "paths", "many", "mc.paths must be an integer, got 'many'"),
+        ("model", "theta_d", 0.05,
+         "model.theta_d must be 3 coefficients (a1, a2, a3), got 0.05"),
+        ("queries", "point", None,
+         "queries[0].point must be four numbers (s, v, rd, rf), got None"),
+        ("queries", "point", [100.0],
+         "queries[0].point must be four numbers (s, v, rd, rf), got [100.0]"),
+        ("solver", "delta_tau", "x", "solver.delta_tau must be a number, got 'x'"),
+    ], ids=["strike", "kappa", "m-scalar", "m-item", "s_max", "krylov_dim", "mc-paths",
+            "theta_d", "no-point", "short-point", "delta_tau"])
+    def test_unconvertible_value_exit_two(self, tmp_path, capsys, entry, key, value,
+                                          message):
+        raw = tiny_config_dict()
+        if entry == "queries":
+            raw["queries"][0][key] = value
+        elif entry == "mc":
+            raw["mc"] = {key: value}
+        else:
+            raw[entry][key] = value
+        if key == "delta_tau":
+            raw["solver"]["solver"] = "midpoint"
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("ladder", ["8,x", "8,16", "8,12,16"])
     def test_sweep_bad_ladder_exit_two(self, tmp_path, capsys, ladder):

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,13 +16,11 @@ from fxhhw.operators import (
 )
 from fxhhw.config import bundled_config_path, from_yaml
 from fxhhw.stencils import (
-    ShapeParameterWarning,
-    StencilGeometry1,
-    StencilGeometry2,
-    fd_limit_first_weights,
-    fd_limit_second_weights,
-    first_derivative_weights,
-    second_derivative_weights,
+    boundary_first_row,
+    boundary_second_row,
+    first_weight_rows,
+    near_boundary_second_row,
+    second_weight_rows,
     shape_parameters,
 )
 from conftest import experiment1_model, experiment3_model, experiment_grid
@@ -51,7 +47,7 @@ def _oracle_axis_matrices(g):
     shapes = shape_parameters(g)
     out = {}
     for ax in AXES_RF_FIRST:
-        nodes, c = g.axis_nodes(ax), shapes.for_axis(ax)
+        nodes, c = g.axis_nodes(ax), shapes[ax]
         out[ax] = (
             sp.identity(nodes.size, format="csr"),
             first_derivative_matrix(nodes, c),
@@ -144,14 +140,12 @@ class TestSecondDerivativeMatrix:
         assert np.all(A[0] == 0.0) and np.all(A[-1] == 0.0)
 
     def test_interior_rows_match_classical_in_wide_limit(self):
-        from fxhhw.stencils import fd_limit_second_weights
-
         nodes = np.array([0.0, 0.35, 0.6, 1.1, 1.45, 1.8])
         A = second_derivative_matrix(nodes, 1e7).tocsr()
         d = np.diff(nodes)
         for i in range(2, 5):
             h = d[i - 1]
-            w = fd_limit_second_weights(h, (nodes[i] - nodes[i - 2]) / h, d[i] / h).weights
+            w = second_weight_rows(h, (nodes[i] - nodes[i - 2]) / h, d[i] / h)
             np.testing.assert_allclose(
                 A[i].toarray().ravel()[i - 2 : i + 2], w, rtol=1e-5,
                 atol=1e-10 * np.abs(w).max(),
@@ -192,34 +186,34 @@ class TestVectorizedRows:
     @pytest.mark.parametrize("fd", [False, True])
     def test_interior_rows_equal_weight_sets_bitwise(self, axis, fd):
         # The matrix builders evaluate the closed forms on arrays; every
-        # interior row must equal the per-geometry WeightSet exactly.
+        # interior row must equal the row function at that one geometry.
         g = experiment_grid((28, 20, 14, 14))
         x = g.axis_nodes(axis)
-        c = None if fd else shape_parameters(g).for_axis(axis)
+        c = None if fd else shape_parameters(g)[axis]
         A1 = first_derivative_matrix(x, c).toarray()
         A2 = second_derivative_matrix(x, c).toarray()
         d = np.diff(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ShapeParameterWarning)
-            for i in range(1, x.size - 1):
-                h, w = d[i - 1], d[i] / d[i - 1]
-                ws = (
-                    fd_limit_first_weights(h, w)
-                    if fd
-                    else first_derivative_weights(StencilGeometry1(h=h, omega_plus=w, c=c))
-                )
-                assert np.array_equal(A1[i, i - 1 : i + 2], ws.weights)
-            for i in range(2, x.size - 1):
-                h = d[i - 1]
-                wm, wp = (x[i] - x[i - 2]) / h, d[i] / h
-                ws = (
-                    fd_limit_second_weights(h, wm, wp)
-                    if fd
-                    else second_derivative_weights(
-                        StencilGeometry2(h=h, w_minus2=wm, w_plus1=wp, c=c)
-                    )
-                )
-                assert np.array_equal(A2[i, i - 2 : i + 2], ws.weights)
+        for i in range(1, x.size - 1):
+            h, w = d[i - 1], d[i] / d[i - 1]
+            assert np.array_equal(A1[i, i - 1 : i + 2], first_weight_rows(h, w, c))
+        for i in range(2, x.size - 1):
+            h = d[i - 1]
+            wm, wp = (x[i] - x[i - 2]) / h, d[i] / h
+            assert np.array_equal(A2[i, i - 2 : i + 2], second_weight_rows(h, wm, wp, c))
+
+    @pytest.mark.parametrize("fd", [False, True])
+    def test_end_rows_and_row_two_equal_row_functions_bitwise(self, fd):
+        x = experiment_grid((28, 20, 14, 14)).s_nodes
+        c = None if fd else 2.0 * float(np.max(np.diff(x)))
+        A1 = first_derivative_matrix(x, c).toarray()
+        A2 = second_derivative_matrix(x, c).toarray()
+        d = np.diff(x)
+        assert np.array_equal(A1[0, :2], boundary_first_row(d[0], c))
+        assert np.array_equal(A1[-1, -2:], boundary_first_row(d[-1], c))
+        assert np.array_equal(A2[1, :3], near_boundary_second_row(d[0], d[1], c))
+        ends = np.zeros(2) if fd else boundary_second_row(c)
+        assert np.array_equal(A2[0, :2], ends)
+        assert np.array_equal(A2[-1, -2:], ends)
 
     @pytest.mark.parametrize("c", [10.0, None])
     @pytest.mark.parametrize("builder", [first_derivative_matrix, second_derivative_matrix])
@@ -234,6 +228,24 @@ class TestVectorizedRows:
         with pytest.raises(InvalidArgumentError):
             builder(np.linspace(0.0, 1.0, 6), 0.1)
 
+    def test_shape_below_an_end_step_accepted(self):
+        # c is held to the interior stencils' steps only: the last gap of
+        # the first-derivative axis and the first gap of the second-derivative
+        # axis may exceed it.
+        A1 = first_derivative_matrix(np.array([0.0, 1.0, 2.0, 10.0]), 5.0).toarray()
+        np.testing.assert_allclose(A1[-1, -2:], [8.0 / 25.0 - 1.0 / 8.0, 1.0 / 8.0])
+        A2 = second_derivative_matrix(np.array([0.0, 8.0, 9.0, 10.0, 11.0]), 5.0)
+        assert np.all(np.isfinite(A2.data))
+
+    def test_row_two_ratio_floor_binds_the_closed_form_only(self):
+        # On four nodes only row 2 sees the gap ratio d[1]/d[0]; its closed
+        # form is written in that ratio, its FD limit in the two gaps.
+        nodes = np.array([0.0, 1.0, 1.0 + 1e-9, 2.0])
+        with pytest.raises(InvalidArgumentError):
+            second_derivative_matrix(nodes, 10.0)
+        A = second_derivative_matrix(nodes, None).toarray()
+        assert np.all(np.isfinite(A))
+
 
 class TestKroneckerComposition:
     def test_mixed_derivative_on_separable_function(self):
@@ -242,20 +254,9 @@ class TestKroneckerComposition:
         op = assemble_operator(g, par)
         # rebuild the s-v mixed factor directly and compare actions
         m1, m2, m3, m4 = g.shape
-        from fxhhw.stencils import (
-    ShapeParameterWarning,
-    StencilGeometry1,
-    StencilGeometry2,
-    fd_limit_first_weights,
-    fd_limit_second_weights,
-    first_derivative_weights,
-    second_derivative_weights,
-    shape_parameters,
-)
-
         shapes = shape_parameters(g)
-        M1s = first_derivative_matrix(g.s_nodes, shapes.c_s)
-        M1v = first_derivative_matrix(g.v_nodes, shapes.c_v)
+        M1s = first_derivative_matrix(g.s_nodes, shapes["s"])
+        M1v = first_derivative_matrix(g.v_nodes, shapes["v"])
         D_sv = sp.kron(
             sp.kron(sp.identity(m4), sp.identity(m3)), sp.kron(M1v, M1s)
         ).tocsr()
@@ -285,22 +286,11 @@ class TestKroneckerComposition:
         op = assemble_operator(g, par)
         A = op.matrix(0.0).toarray()
 
-        from fxhhw.stencils import (
-    ShapeParameterWarning,
-    StencilGeometry1,
-    StencilGeometry2,
-    fd_limit_first_weights,
-    fd_limit_second_weights,
-    first_derivative_weights,
-    second_derivative_weights,
-    shape_parameters,
-)
-
         shapes = shape_parameters(g)
-        M1s = first_derivative_matrix(g.s_nodes, shapes.c_s).toarray()
-        M2s = second_derivative_matrix(g.s_nodes, shapes.c_s).toarray()
-        M1v = first_derivative_matrix(g.v_nodes, shapes.c_v).toarray()
-        M2v = second_derivative_matrix(g.v_nodes, shapes.c_v).toarray()
+        M1s = first_derivative_matrix(g.s_nodes, shapes["s"]).toarray()
+        M2s = second_derivative_matrix(g.s_nodes, shapes["s"]).toarray()
+        M1v = first_derivative_matrix(g.v_nodes, shapes["v"]).toarray()
+        M2v = second_derivative_matrix(g.v_nodes, shapes["v"]).toarray()
 
         k_rd, k_rf = 1, 2
         rd = g.rd_nodes[k_rd]
@@ -500,18 +490,7 @@ class TestImposeBoundaries:
         row = A[node].toarray().ravel()
         nz = np.flatnonzero(row)
         np.testing.assert_array_equal(nz, [node - 1, node])
-        from fxhhw.stencils import (
-    ShapeParameterWarning,
-    StencilGeometry1,
-    StencilGeometry2,
-    fd_limit_first_weights,
-    fd_limit_second_weights,
-    first_derivative_weights,
-    second_derivative_weights,
-    shape_parameters,
-)
-
-        c = shape_parameters(g).c_s
+        c = shape_parameters(g)["s"]
         np.testing.assert_allclose(row[nz], [-4 / c**2, 2 / c**2], rtol=1e-12)
 
     def test_abc_keeps_all_rows(self, par1, put_2y):

@@ -134,10 +134,7 @@ class TestPriceSolutionBasics:
         assert np.all(np.isfinite(f.values))
 
     def test_solver_rejected_before_assembly(self, par3, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("assembled before the solver check")
-
-        monkeypatch.setattr(operators, "assemble_operator", fail)
+        monkeypatch.setattr(operators, "assemble_operator", self._no_assembly)
         opt = OptionSpec("call", 100.0, 0.25)
         g = experiment_grid((6, 5, 4, 4))
         with pytest.raises(ConfigError):
@@ -145,6 +142,27 @@ class TestPriceSolutionBasics:
         for solver in ("midpoint", "auto"):
             with pytest.raises(ConfigError):
                 price(par3, opt, g, solver=solver)
+        # An unknown name, and a delta_tau that does not divide the 0.25y
+        # maturity or is not positive.
+        for solver, delta_tau in (("bogus", None), ("midpoint", 0.1), ("auto", 0.1),
+                                  ("midpoint", -0.05)):
+            with pytest.raises(ConfigError):
+                price(par3, opt, g, solver=solver, delta_tau=delta_tau)
+
+    @pytest.mark.parametrize("kind, boundary", [
+        ("call", "bogus"), ("put", "dirichlet"), ("put", "neumann_flux"),
+    ])
+    def test_boundary_rules_refused_before_assembly(self, par1, monkeypatch, kind,
+                                                     boundary):
+        monkeypatch.setattr(operators, "assemble_operator", self._no_assembly)
+        g = experiment_grid((6, 5, 4, 4))
+        with pytest.raises(ConfigError) as err:
+            price(par1, OptionSpec(kind, 100.0, 1.0), g, boundary=boundary)
+        assert err.value.violations == operators.boundary_violations(boundary, kind)
+
+    @staticmethod
+    def _no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the request was checked")
 
     def test_field_carries_its_boundary_operator(self, exp1_coarse_field):
         g = exp1_coarse_field.grid
@@ -259,8 +277,8 @@ class TestGreeks:
         shapes = shape_parameters(g)
         want = self._differentiate(
             f,
-            operators.first_derivative_matrix(g.s_nodes, shapes.c_s),
-            operators.first_derivative_matrix(g.v_nodes, shapes.c_v),
+            operators.first_derivative_matrix(g.s_nodes, shapes["s"]),
+            operators.first_derivative_matrix(g.v_nodes, shapes["v"]),
             rd, rf,
         )
         gs = greeks(f, rd=rd, rf=rf)

@@ -7,34 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fxhhw.errors import ConditioningError, InvalidArgumentError
+from fxhhw.operators import first_derivative_matrix
 from fxhhw.stencils import (
     ShapeParameterWarning,
-    StencilGeometry1,
-    StencilGeometry2,
-    boundary_first_weights,
-    boundary_second_weights,
+    boundary_first_row,
+    boundary_second_row,
     collocation_weights_oracle,
-    fd_limit_first_weights,
-    fd_limit_second_weights,
-    first_derivative_weights,
+    first_weight_rows,
     gaussian_rbf,
-    near_boundary_second_weights,
-    second_derivative_weights,
+    near_boundary_second_row,
+    second_weight_rows,
     shape_parameters,
 )
 from conftest import experiment_grid
 
 
-def g1(h, w, c):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShapeParameterWarning)
-        return StencilGeometry1(h=h, omega_plus=w, c=c)
+def offsets1(h, w):
+    """Node offsets of the three-node stencil {x-h, x, x+w*h}."""
+    return np.array([-h, 0.0, w * h])
 
 
-def g2(h, wm, wp, c):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShapeParameterWarning)
-        return StencilGeometry2(h=h, w_minus2=wm, w_plus1=wp, c=c)
+def offsets2(h, wm, wp):
+    """Node offsets of the four-node stencil {x-wm*h, x-h, x, x+wp*h}."""
+    return np.array([-wm * h, -h, 0.0, wp * h])
 
 
 class TestGaussianRbf:
@@ -57,7 +52,7 @@ class TestGaussianRbf:
 class TestFirstDerivativeWeights:
     def test_uniform_antisymmetry(self):
         h, c = 0.3, 4.0
-        w = first_derivative_weights(g1(h, 1.0, c)).weights
+        w = first_weight_rows(h, 1.0, c)
         expected = (c * c + h * h) / (2 * c * c * h)
         assert w[0] == pytest.approx(-expected, rel=1e-14)
         assert w[1] == 0.0
@@ -66,19 +61,19 @@ class TestFirstDerivativeWeights:
     @pytest.mark.parametrize("omega", [0.5, 1.0, 1.7, 2.4])
     def test_wide_shape_limit_is_classical(self, omega):
         h = 0.2
-        w = first_derivative_weights(g1(h, omega, 1e8 * h)).weights
-        ref = fd_limit_first_weights(h, omega).weights
+        w = first_weight_rows(h, omega, 1e8 * h)
+        ref = first_weight_rows(h, omega)
         np.testing.assert_allclose(w, ref, rtol=1e-8)
 
     def test_constants_annihilated_exactly(self):
         # The closed forms sum to zero identically, not just to O(h^3/c^4).
         for h, w_, c in [(0.1, 1.5, 2.0), (3.0, 0.7, 17.0), (1e-3, 2.2, 0.5)]:
-            w = first_derivative_weights(g1(h, w_, c)).weights
+            w = first_weight_rows(h, w_, c)
             assert abs(w.sum()) <= 1e-13 * np.abs(w).max()
 
     def test_rejects_degenerate_ratio(self):
         with pytest.raises(InvalidArgumentError):
-            g1(0.1, 1e-9, 1.0)
+            first_weight_rows(0.1, 1e-9, 1.0)
 
     @pytest.mark.parametrize("omega", [0.5, 1.6, 2.4])
     def test_printed_h_over_c2_term(self, omega):
@@ -87,8 +82,8 @@ class TestFirstDerivativeWeights:
         # is (-0.369, -0.400, +0.769).
         h, c = 0.1, 1.0
         w = omega
-        closed = first_derivative_weights(g1(h, w, c)).weights
-        fd = fd_limit_first_weights(h, w).weights
+        closed = first_weight_rows(h, w, c)
+        fd = first_weight_rows(h, w)
         expected = [
             w * (2 * w - 5) / (3 * (w + 1)),
             -2 * (w - 1) / 3,
@@ -101,13 +96,13 @@ class TestFirstDerivativeWeights:
         # dense collocation solve).  The printed closed forms share the 1/h
         # part and differ in the O(h/c^2) correction, so agreement here is
         # at the (h/c)^2 level, not exact.
-        oracle = collocation_weights_oracle([-0.1, 0.0, 0.15], 2.0, 1).weights
+        oracle = collocation_weights_oracle([-0.1, 0.0, 0.15], 2.0, 1)
         np.testing.assert_allclose(
             oracle,
             [-6.019983725936976, 3.3416500987132007, 2.678325754444979],
             rtol=1e-12,
         )
-        closed = first_derivative_weights(g1(0.1, 1.5, 2.0)).weights
+        closed = first_weight_rows(0.1, 1.5, 2.0)
         gap = np.max(np.abs(closed - oracle)) / np.max(np.abs(oracle))
         assert gap < 3.0 * (0.1 / 2.0) ** 2
         assert gap > 1e-4  # genuinely not a 1e-6 match; see the gap-law test
@@ -115,14 +110,14 @@ class TestFirstDerivativeWeights:
 
 class TestSecondDerivativeWeights:
     def test_matches_oracle_at_example_point(self):
-        oracle = collocation_weights_oracle([-0.2, -0.1, 0.0, 0.1], 5.0, 2).weights
+        oracle = collocation_weights_oracle([-0.2, -0.1, 0.0, 0.1], 5.0, 2)
         np.testing.assert_allclose(
             oracle,
             [-1.3340518149414535e-02, 1.0007997623559153e+02,
              -2.0011994692117173e+02, 1.0005332718880734e+02],
             rtol=1e-12,
         )
-        closed = second_derivative_weights(g2(0.1, 2.0, 1.0, 5.0)).weights
+        closed = second_weight_rows(0.1, 2.0, 1.0, 5.0)
         gap = np.max(np.abs(closed - oracle)) / np.max(np.abs(oracle))
         assert gap < 3.0 * (0.1 / 5.0) ** 2
 
@@ -131,117 +126,133 @@ class TestSecondDerivativeWeights:
         # Applied to f(x) = x^2 the weights return 2 plus the documented
         # 2 h^2 (wm*wp - wm + wp)/c^2 defect.
         h, c = 0.05, 5.0
-        ws = second_derivative_weights(g2(h, wm, wp, c))
-        got = ws.apply(lambda x: x * x)
+        d = offsets2(h, wm, wp)
+        got = second_weight_rows(h, wm, wp, c) @ (d * d)
         defect = 2.0 * h * h * (wm * wp - wm + wp) / (c * c)
         assert got == pytest.approx(2.0 + defect, abs=1e-12)
 
     def test_constants_annihilated_exactly(self):
         for h, wm, wp, c in [(0.1, 2.0, 1.0, 5.0), (2.0, 1.3, 0.8, 40.0)]:
-            w = second_derivative_weights(g2(h, wm, wp, c)).weights
+            w = second_weight_rows(h, wm, wp, c)
             assert abs(w.sum()) <= 1e-12 * np.abs(w).max()
 
     def test_first_moment_annihilated_exactly(self):
         for h, wm, wp, c in [(0.1, 2.0, 1.0, 5.0), (2.0, 1.3, 0.8, 40.0)]:
-            ws = second_derivative_weights(g2(h, wm, wp, c))
-            got = ws.apply(lambda x: x)
+            got = second_weight_rows(h, wm, wp, c) @ offsets2(h, wm, wp)
             assert abs(got) <= 1e-12 / h
 
     @pytest.mark.parametrize("wm,wp", [(2.0, 1.0), (1.5, 0.8)])
     def test_wide_shape_limit_is_classical(self, wm, wp):
         h = 0.3
-        w = second_derivative_weights(g2(h, wm, wp, 1e8 * h)).weights
-        ref = fd_limit_second_weights(h, wm, wp).weights
+        w = second_weight_rows(h, wm, wp, 1e8 * h)
+        ref = second_weight_rows(h, wm, wp)
         np.testing.assert_allclose(w, ref, rtol=1e-8, atol=1e-8 / h**2)
 
     def test_rejects_unit_w_minus(self):
         with pytest.raises(InvalidArgumentError):
-            g2(0.1, 1.0, 1.0, 5.0)
+            second_weight_rows(0.1, 1.0, 1.0, 5.0)
 
     def test_rejects_zero_w_plus(self):
         with pytest.raises(InvalidArgumentError):
-            g2(0.1, 2.0, 0.0, 5.0)
+            second_weight_rows(0.1, 2.0, 0.0, 5.0)
 
     def test_sum_decay_under_refinement(self):
         # |sum beta| stays at rounding level when h halves with c = O(1/h).
         sums = []
         for h in (0.1, 0.05, 0.025):
-            w = second_derivative_weights(g2(h, 1.8, 1.2, 1.0 / h)).weights
+            w = second_weight_rows(h, 1.8, 1.2, 1.0 / h)
             sums.append(abs(w.sum()) / np.abs(w).max())
         assert all(s < 1e-12 for s in sums)
 
 
 class TestBoundaryWeights:
     def test_first_forward_difference_limit(self):
-        w = boundary_first_weights(1.0, 1e9).weights
+        w = boundary_first_row(1.0, 1e9)
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
 
     def test_first_direct_substitution(self):
-        w = boundary_first_weights(0.5, 2.0).weights
+        w = boundary_first_row(0.5, 2.0)
         np.testing.assert_allclose(w, [0.5 / 4.0 - 2.0, 2.0], rtol=1e-15)
 
     def test_first_constant_residual(self):
         h, c = 0.3, 2.5
-        w = boundary_first_weights(h, c)
-        assert w.apply(lambda x: 1.0) == pytest.approx(h / c**2, rel=1e-13)
+        w = boundary_first_row(h, c)
+        assert w @ np.ones(2) == pytest.approx(h / c**2, rel=1e-13)
 
     def test_second_at_unit_shape(self):
-        w = boundary_second_weights(1.0).weights
+        w = boundary_second_row(1.0)
         np.testing.assert_allclose(w, [-4.0, 2.0], rtol=1e-15)
 
     def test_second_shape_scaling(self):
-        w = boundary_second_weights(2.0).weights
+        w = boundary_second_row(2.0)
         np.testing.assert_allclose(w, [-1.0, 0.5], rtol=1e-15)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 3.7, 50.0])
     def test_second_sum_identity(self, c):
-        w = boundary_second_weights(c).weights
+        w = boundary_second_row(c)
         assert w.sum() == pytest.approx(-2.0 / c**2, rel=1e-14)
 
     def test_second_rejects_zero_shape(self):
         with pytest.raises(InvalidArgumentError):
-            boundary_second_weights(0.0)
+            boundary_second_row(0.0)
 
     def test_first_rejects_zero_step(self):
         with pytest.raises(InvalidArgumentError):
-            boundary_first_weights(0.0, 1.0)
+            boundary_first_row(0.0, 1.0)
+
+    def test_first_fd_limit_is_forward_difference(self):
+        h = 0.3
+        np.testing.assert_array_equal(boundary_first_row(h), [-1.0 / h, 1.0 / h])
+        np.testing.assert_allclose(boundary_first_row(h, 1e8 * h), boundary_first_row(h),
+                                   rtol=1e-12)
 
 
 class TestNearBoundarySecondWeights:
     def test_uniform_wide_shape_limit(self):
         h = 0.2
-        w = near_boundary_second_weights(h, 1.0, 1e9).weights
+        w = near_boundary_second_row(h, h, 1e9)
         np.testing.assert_allclose(w, [1 / h**2, -2 / h**2, 1 / h**2], rtol=1e-9)
 
     def test_matches_oracle_at_example_point(self):
-        oracle = collocation_weights_oracle([-0.1, 0.0, 0.13], 3.0, 2).weights
+        oracle = collocation_weights_oracle([-0.1, 0.0, 0.13], 3.0, 2)
         np.testing.assert_allclose(
             oracle,
             [87.0473577764241, -154.05801285627518, 67.0108117764279],
             rtol=1e-12,
         )
-        closed = near_boundary_second_weights(0.1, 1.3, 3.0).weights
+        closed = near_boundary_second_row(0.1, 0.13, 3.0)
         gap = np.max(np.abs(closed - oracle)) / np.max(np.abs(oracle))
         assert gap < 3.0 * (0.1 / 3.0) ** 2
 
     def test_first_degree_exactness_in_wide_limit(self):
         # With the consistent geometry the wide-shape limit annihilates
         # linear functions exactly (classical 3-node stencil).
-        w = near_boundary_second_weights(0.1, 1.3, 1e8)
-        assert abs(w.apply(lambda x: x)) < 1e-6
+        w = near_boundary_second_row(0.1, 0.13, 1e8)
+        assert abs(w @ np.array([-0.1, 0.0, 0.13])) < 1e-6
 
     def test_rejects_zero_ratio(self):
         with pytest.raises(InvalidArgumentError):
-            near_boundary_second_weights(0.1, 0.0, 1.0)
+            near_boundary_second_row(0.1, 0.0, 1.0)
+
+    def test_fd_limit_is_classical_central_difference(self):
+        hl, hr = 0.1, 0.13
+        fd = near_boundary_second_row(hl, hr)
+        np.testing.assert_array_equal(
+            fd, [2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr))]
+        )
+        np.testing.assert_allclose(near_boundary_second_row(hl, hr, 1e8 * hl), fd,
+                                   rtol=1e-8)
+        with pytest.raises(InvalidArgumentError):
+            near_boundary_second_row(hl, 0.0)
 
 
 class TestShapeParameters:
     def test_benchmark_shape_values(self):
         sp = shape_parameters(experiment_grid((8, 6, 6, 6)))
-        assert sp.c_s == pytest.approx(1834.59, abs=0.005)
-        assert sp.c_v == pytest.approx(24.25, abs=0.005)
-        assert sp.c_rd == pytest.approx(3.09, abs=0.005)
-        assert sp.c_rf == pytest.approx(3.09, abs=0.005)
+        assert sp["s"] == pytest.approx(1834.59, abs=0.005)
+        assert sp["v"] == pytest.approx(24.25, abs=0.005)
+        assert sp["rd"] == pytest.approx(3.09, abs=0.005)
+        assert sp["rf"] == pytest.approx(3.09, abs=0.005)
 
     def test_uniform_axis(self):
         from fxhhw.grids import Grid4D
@@ -252,7 +263,7 @@ class TestShapeParameters:
             rd_nodes=np.linspace(-1.0, 1.0, 5),
             rf_nodes=np.linspace(-1.0, 1.0, 5),
         )
-        assert shape_parameters(grid).c_s == pytest.approx(0.2, rel=1e-12)
+        assert shape_parameters(grid)["s"] == pytest.approx(0.2, rel=1e-12)
 
     def test_requires_two_nodes(self):
         class Stub:
@@ -271,7 +282,7 @@ class TestShapeParameters:
 
 class TestCollocationOracle:
     def test_symmetric_first_derivative(self):
-        w = collocation_weights_oracle([-0.2, 0.0, 0.2], 2.0, 1).weights
+        w = collocation_weights_oracle([-0.2, 0.0, 0.2], 2.0, 1)
         # middle weight vanishes by symmetry, up to solve rounding (the
         # system's conditioning is ~(c/h)^4)
         assert abs(w[1]) <= 1e-10 * np.abs(w).max()
@@ -279,8 +290,8 @@ class TestCollocationOracle:
 
     def test_two_node_first_matches_boundary_pair_to_leading_order(self):
         h, c = 0.05, 5.0
-        oracle = collocation_weights_oracle([0.0, h], c, 1).weights
-        closed = boundary_first_weights(h, c).weights
+        oracle = collocation_weights_oracle([0.0, h], c, 1)
+        closed = boundary_first_row(h, c)
         gap = np.max(np.abs(oracle - closed)) / np.max(np.abs(oracle))
         assert gap < 3.0 * (h / c) ** 2
 
@@ -309,8 +320,8 @@ class TestClosedFormVsOracleGapLaw:
         for _ in range(200):
             h = 10.0 ** rng.uniform(-2, 1)
             w = rng.uniform(0.5, 2.0)
-            closed = first_derivative_weights(g1(h, w, h / ratio)).weights
-            oracle = collocation_weights_oracle([-h, 0.0, w * h], h / ratio, 1).weights
+            closed = first_weight_rows(h, w, h / ratio)
+            oracle = collocation_weights_oracle([-h, 0.0, w * h], h / ratio, 1)
             worst = max(worst, np.max(np.abs(closed - oracle)) / np.max(np.abs(oracle)))
         assert worst < 3.0 * ratio**2
 
@@ -321,10 +332,8 @@ class TestClosedFormVsOracleGapLaw:
             h = 10.0 ** rng.uniform(-2, 1)
             wm = rng.uniform(1.2, 2.5)
             wp = rng.uniform(0.5, 2.0)
-            closed = second_derivative_weights(g2(h, wm, wp, h / ratio)).weights
-            oracle = collocation_weights_oracle(
-                [-wm * h, -h, 0.0, wp * h], h / ratio, 2
-            ).weights
+            closed = second_weight_rows(h, wm, wp, h / ratio)
+            oracle = collocation_weights_oracle([-wm * h, -h, 0.0, wp * h], h / ratio, 2)
             worst = max(worst, np.max(np.abs(closed - oracle)) / np.max(np.abs(oracle)))
         assert worst < 6.0 * ratio**2
 
@@ -340,16 +349,16 @@ class TestOrderOfAccuracy:
         x0 = 0.4
         errs = []
         for h in (0.2, 0.1, 0.05, 0.025):
-            ws = first_derivative_weights(g1(h, 1.37, 10.0 / h))
-            errs.append(abs(ws.apply(np.sin, x0) - np.cos(x0)))
+            w = first_weight_rows(h, 1.37, 10.0 / h)
+            errs.append(abs(w @ np.sin(x0 + offsets1(h, 1.37)) - np.cos(x0)))
         assert self._rate(errs) >= 1.8
 
     def test_second_derivative_second_order(self):
         x0 = 0.4
         errs = []
         for h in (0.2, 0.1, 0.05, 0.025):
-            ws = second_derivative_weights(g2(h, 1.6, 0.8, 10.0 / h))
-            errs.append(abs(ws.apply(np.sin, x0) + np.sin(x0)))
+            w = second_weight_rows(h, 1.6, 0.8, 10.0 / h)
+            errs.append(abs(w @ np.sin(x0 + offsets2(h, 1.6, 0.8)) + np.sin(x0)))
         assert self._rate(errs) >= 1.8
 
     def test_near_boundary_row_is_low_order(self):
@@ -358,8 +367,8 @@ class TestOrderOfAccuracy:
         x0 = 0.4
         errs = []
         for h in (0.2, 0.1, 0.05, 0.025):
-            ws = near_boundary_second_weights(h, 1.45, 10.0 / h)
-            errs.append(abs(ws.apply(np.sin, x0) + np.sin(x0)))
+            w = near_boundary_second_row(h, 1.45 * h, 10.0 / h)
+            errs.append(abs(w @ np.sin(x0 + offsets1(h, 1.45)) + np.sin(x0)))
         # first-order-ish decay, clearly below 2
         rate = self._rate(errs)
         assert 0.5 <= rate <= 2.0
@@ -368,16 +377,16 @@ class TestOrderOfAccuracy:
 class TestValidityGuards:
     def test_error_below_step(self):
         with pytest.raises(InvalidArgumentError):
-            StencilGeometry1(h=1.0, omega_plus=1.0, c=0.5)
+            first_weight_rows(1.0, 1.0, 0.5)
 
     def test_warns_in_marginal_regime(self):
         with pytest.warns(ShapeParameterWarning):
-            StencilGeometry1(h=1.0, omega_plus=1.0, c=2.0)
+            first_derivative_matrix(np.array([0.0, 1.0, 2.0, 3.0]), 2.0)
 
     def test_silent_in_asymptotic_regime(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            StencilGeometry1(h=1.0, omega_plus=1.0, c=10.0)
+            first_derivative_matrix(np.array([0.0, 1.0, 2.0, 3.0]), 10.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -390,8 +399,8 @@ def test_first_weights_consistency_property(h, w, cr):
     """For any valid geometry the weights kill constants identically, and
     applied to f(x) = x they return 1 + omega*h^2/c^2 exactly (the linear
     term of the derivative-approximation error expansion)."""
-    ws = first_derivative_weights(g1(h, w, cr * h))
-    scale = np.abs(ws.weights).max()
-    assert abs(ws.weights.sum()) <= 5e-13 * scale
+    weights = first_weight_rows(h, w, cr * h)
+    scale = np.abs(weights).max()
+    assert abs(weights.sum()) <= 5e-13 * scale
     c = cr * h
-    assert ws.apply(lambda x: x) == pytest.approx(1.0 + w * h * h / (c * c), rel=1e-9)
+    assert weights @ offsets1(h, w) == pytest.approx(1.0 + w * h * h / (c * c), rel=1e-9)
