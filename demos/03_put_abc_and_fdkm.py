@@ -56,4 +56,4 @@ fd_field = price(model, option, uniform_grid((10, 8, 6, 6), 1400.0), boundary="a
 for label, (point, ref) in refs.items():
     val = fd_field.interpolate(point, "cubic")
     print(f"  {label} = {val:8.4f}   ref {ref}   rel err {relative_error(val, ref):.2e}")
-print(f"  spot increment everywhere: {fd_field.grid.ds[0]:.2f}")
+print(f"  spot increment everywhere: {fd_field.grid.steps('s')[0]:.2f}")

@@ -8,6 +8,7 @@ import sys
 from . import config as config_mod
 from . import runner
 from .errors import ConfigError, FxhhwError
+from .grids import AXES
 from .pricing import SolutionField
 
 
@@ -43,11 +44,12 @@ def _parse_at(text):
     for item in text.split(","):
         key, sep, val = (part.strip() for part in item.partition("="))
         try:
-            if not sep or key not in runner.SLICE_AXES:
+            if not sep or key not in AXES:
                 raise ValueError
             fixed[key] = float(val)
         except ValueError:
-            violations.append(f"--at item {item!r} is not axis=number (axis s, v, rd or rf)")
+            violations.append(f"--at item {item!r} is not axis=number "
+                              f"(axis one of {', '.join(AXES)})")
     if violations:
         raise ConfigError(violations)
     return fixed
@@ -59,6 +61,13 @@ def _cmd_export(args):
     n = runner.surface_export(field, args.slice, args.out, fixed=fixed)
     sys.stdout.write(f"wrote {n} rows to {args.out}\n")
     return 0
+
+
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser():
@@ -77,10 +86,10 @@ def build_parser():
 
     ps = sub.add_parser("sweep", help="refine one axis over a doubling ladder")
     ps.add_argument("config")
-    ps.add_argument("--axis", default="s", choices=["s", "v", "rd", "rf"])
+    ps.add_argument("--axis", default="s", choices=AXES)
     ps.add_argument("--ladder", default="8,16,32")
-    ps.add_argument("--workers", type=int, default=None,
-                    help=f"parallel runs (default ${runner.WORKERS_ENV} or 1)")
+    ps.add_argument("--workers", type=_positive_int, default=1,
+                    help="parallel runs (default 1)")
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=_cmd_sweep)
 

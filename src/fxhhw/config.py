@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
@@ -10,7 +11,8 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, InvalidArgumentError, ModelConfigError
-from .grids import AxisSpec, Grid4D, build_grid, uniform_grid
+from .grids import AXES, AxisSpec, Grid4D, build_grid, domain_box, outside, uniform_grid
+from .integrators import krylov_dim_violations
 from .mc import McConfig
 from .model import ModelParams, OptionSpec, correlation_matrix
 from .operators import THETA_MODES, boundary_violations, time_dependent_operator
@@ -56,15 +58,15 @@ class ExperimentConfig:
     compute_lambda_max: bool = False
 
     def grid(self) -> Grid4D:
-        m1, m2, m3, m4 = self.m
+        box = (self.s_max, self.v_max, self.r_min, self.r_max)
         if self.method == "fdkm":
-            return uniform_grid(self.m, self.s_max, self.v_max, self.r_min, self.r_max)
-        return build_grid(
-            AxisSpec(m1, 0.0, self.s_max, self.option.strike, self.xi_s),
-            AxisSpec(m2, 0.0, self.v_max, self.model.v0, self.xi_v),
-            AxisSpec(m3, self.r_min, self.r_max, self.model.rd0, self.xi_rd),
-            AxisSpec(m4, self.r_min, self.r_max, self.model.rf0, self.xi_rf),
-        )
+            return uniform_grid(self.m, *box)
+        focus = (self.option.strike, self.model.v0, self.model.rd0, self.model.rf0)
+        xi = (self.xi_s, self.xi_v, self.xi_rd, self.xi_rf)
+        return build_grid(*(
+            AxisSpec(m, *bounds, f, x)
+            for m, bounds, f, x in zip(self.m, domain_box(*box).values(), focus, xi)
+        ))
 
     def with_m(self, m):
         return replace(self, m=tuple(int(x) for x in m))
@@ -90,7 +92,9 @@ class ExperimentConfig:
 
 # correlation_matrix's arguments, in order.
 CORRELATION_KEYS = ("sv", "sd", "sf", "vd", "vf", "df")
-GRID_KEYS = ("m", "s_max", "v_max", "r_min", "r_max", "xi_s", "xi_v", "xi_rd", "xi_rf")
+# domain_box's arguments, in order.
+BOX_KEYS = ("s_max", "v_max", "r_min", "r_max")
+GRID_KEYS = ("m", *BOX_KEYS, "xi_s", "xi_v", "xi_rd", "xi_rf")
 SOLVER_KEYS = ("solver", "boundary", "theta_mode", "method", "interpolation",
                "delta_tau", "krylov_dim")
 # The keys from_dict reads, per entry; any other key is a violation.
@@ -200,13 +204,18 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
 
     m = convert(gd.get("m", ()), "grid.m", _items(int, 4), "four sizes >= 4",
                 valid=lambda m: min(m) >= 4)
-    # Unset grid keys take the ExperimentConfig defaults.
+    # Unset grid keys take the ExperimentConfig defaults; s_max's is 14 strikes.
     grid = {key: convert(gd[key], f"grid.{key}") for key in GRID_KEYS[1:] if key in gd}
+    grid.setdefault("s_max", None if strike is None else 14.0 * strike)
+    bounds = [grid.get(key, getattr(ExperimentConfig, key, None)) for key in BOX_KEYS]
 
     # Unset solver keys take the ExperimentConfig defaults.
     sol = {key: sd.get(key, getattr(ExperimentConfig, key)) for key in SOLVER_KEYS}
     sol["delta_tau"] = optional(sol["delta_tau"], "solver.delta_tau")
     sol["krylov_dim"] = optional(sol["krylov_dim"], "solver.krylov_dim", int, "an integer")
+    if m is not None:
+        violations += [f"solver.krylov_dim: {v}"
+                       for v in krylov_dim_violations(sol["krylov_dim"], math.prod(m))]
     _require(sol["theta_mode"] in THETA_MODES,
              f"theta_mode must be one of {THETA_MODES}", violations)
     _require(sol["method"] in METHODS,
@@ -235,6 +244,11 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
          optional(q.get("reference"), f"queries[{i}].reference"))
         for i, q in enumerate(qs)
     ]
+    if None not in bounds:
+        box = domain_box(*bounds)
+        violations += [f"queries[{i}].point has {v}"
+                       for i, (point, _) in enumerate(queries) if point is not None
+                       for v in outside(dict(zip(AXES, point)), box)]
 
     model = option = mc_cfg = None
     if not violations:
@@ -256,7 +270,7 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
         model=model,
         option=option,
         m=m,
-        **{"s_max": 14.0 * option.strike, **grid},
+        **grid,
         **sol,
         queries=[QueryPoint(point=point, reference=ref, label=q.get("label", ""))
                  for (point, ref), q in zip(queries, qs)],
@@ -267,8 +281,14 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
 
 
 def from_yaml(path) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    """Load and validate a YAML config; a file that cannot be read or parsed
+    is a ConfigError like an invalid value."""
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as err:
+        reason = " ".join(str(err).split())  # YAML parse errors span several lines
+        raise ConfigError([f"cannot read config {path}: {reason}"]) from None
     if not isinstance(raw, dict):
         raise ConfigError([f"config file {path} did not parse to a mapping"])
     return from_dict(raw, name=str(path))

@@ -1,17 +1,27 @@
 """Truncated 4D computational domain with sinh-stretched non-uniform axes.
 
+This module is the one home of the domain: the axis table ``AXES`` with the
+natural ordering of a field vector (the spot index varies fastest, then
+variance, then the domestic and foreign rates), the one sinh stretch map
+every axis is built with, the box the axes span and the in-domain rule.
+
 Nodes concentrate near the strike on the spot axis, near the initial variance
 on the variance axis, and near the initial short rates on the two rate axes.
-Endpoints hit the truncation bounds analytically (sinh/arcsinh identities).
+Endpoints are snapped to the truncation bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridDegeneracyError, InvalidArgumentError
+
+# Axis names in natural order: position k is dimension k of Grid4D.shape.
+AXES = ("s", "v", "rd", "rf")
 
 # Below this stretch the sinh map is numerically indistinguishable from
 # linear; switch to uniform spacing to avoid catastrophic cancellation.
@@ -46,35 +56,35 @@ class AxisSpec:
             raise InvalidArgumentError(f"stretch parameter must be positive, got {self.xi}")
 
 
-def _finalize(nodes, spec, snap_ends=True):
-    if snap_ends:
-        nodes[0] = spec.lower
-        nodes[-1] = spec.upper
+def checked_steps(nodes):
+    """The increments of an axis; GridDegeneracyError unless every one
+    exceeds ``DEGENERACY_TOL`` times the axis length."""
     d = np.diff(nodes)
-    if np.any(d <= DEGENERACY_TOL * (spec.upper - spec.lower)):
-        raise GridDegeneracyError(
-            f"axis with m={spec.m}, xi={spec.xi} produced degenerate increments"
-        )
-    return nodes
+    if np.any(d <= DEGENERACY_TOL * (nodes[-1] - nodes[0])):
+        raise GridDegeneracyError(f"axis on [{nodes[0]}, {nodes[-1]}] has degenerate steps")
+    return d
 
 
 def build_focused_axis(spec: AxisSpec) -> np.ndarray:
-    """Sinh-stretched axis clustering at ``focus`` (spot and variance axes).
+    """The sinh-stretched axis clustering at ``focus``; every axis is one.
 
     node(x) = focus + sinh(x*asinh(xi*(upper-focus)) - (1-x)*asinh(xi*(focus-lower)))/xi
-    with x uniform on [0, 1]; x=0 and x=1 land exactly on the bounds.
+    with x uniform on [0, 1]; x=0 and x=1 land on the bounds.
     """
     if not spec.lower <= spec.focus < spec.upper:
         raise InvalidArgumentError(
             f"focus {spec.focus} outside [{spec.lower}, {spec.upper})"
         )
     if spec.xi < UNIFORM_XI_CUTOFF:
-        return _finalize(np.linspace(spec.lower, spec.upper, spec.m), spec)
-    x = np.linspace(0.0, 1.0, spec.m)
-    hi = np.arcsinh(spec.xi * (spec.upper - spec.focus))
-    lo = np.arcsinh(spec.xi * (spec.focus - spec.lower))
-    nodes = spec.focus + np.sinh(x * hi - (1.0 - x) * lo) / spec.xi
-    return _finalize(nodes, spec)
+        nodes = np.linspace(spec.lower, spec.upper, spec.m)
+    else:
+        x = np.linspace(0.0, 1.0, spec.m)
+        hi = np.arcsinh(spec.xi * (spec.upper - spec.focus))
+        lo = np.arcsinh(spec.xi * (spec.focus - spec.lower))
+        nodes = spec.focus + np.sinh(x * hi - (1.0 - x) * lo) / spec.xi
+    nodes[0], nodes[-1] = spec.lower, spec.upper
+    checked_steps(nodes)
+    return nodes
 
 
 def build_s_axis(spec: AxisSpec) -> np.ndarray:
@@ -94,88 +104,95 @@ def build_v_axis(spec: AxisSpec) -> np.ndarray:
             f"variance axis needs 0 <= v0 < v_max, got focus {spec.focus}, "
             f"bounds [{spec.lower}, {spec.upper}]"
         )
-    nodes = build_focused_axis(spec)
-    if np.any(nodes < -DEGENERACY_TOL) or np.any(nodes > spec.upper * (1 + 1e-12)):
-        raise GridDegeneracyError("variance nodes escaped [0, v_max]")
-    return nodes
+    return build_focused_axis(spec)
 
 
 def build_rate_axis(spec: AxisSpec) -> np.ndarray:
     """Short-rate axis on [r_min, r_max] concentrated at r0.
 
-    Uses the sinh recursion with uniform steps in the arcsinh variable and
-    scale d = r_max/xi, which closes the formula so the first/last nodes are
-    exactly the bounds.
+    The focused axis with stretch xi/r_max: the rate axis measures its
+    stretch against the upper bound, so scaling the bounds and r0 together
+    scales the nodes and keeps their layout.
     """
-    if spec.m < 2:
-        raise InvalidArgumentError(f"rate axis needs m >= 2 nodes, got {spec.m}")
     if not spec.lower < spec.focus < spec.upper:
         raise InvalidArgumentError(
             f"rate axis needs r_min < r0 < r_max, got focus {spec.focus}"
         )
-    if spec.xi < UNIFORM_XI_CUTOFF:
-        return _finalize(np.linspace(spec.lower, spec.upper, spec.m), spec)
-    d = spec.upper / spec.xi
-    if d <= 0:
+    if not spec.upper > 0:
         raise InvalidArgumentError("rate axis requires upper bound > 0 for the sinh scale")
-    zlo = np.arcsinh((spec.lower - spec.focus) / d)
-    zhi = np.arcsinh((spec.upper - spec.focus) / d)
-    z = zlo + (zhi - zlo) * np.arange(spec.m) / (spec.m - 1)
-    nodes = spec.focus + d * np.sinh(z)
-    return _finalize(nodes, spec)
+    return build_focused_axis(dataclasses.replace(spec, xi=spec.xi / spec.upper))
+
+
+def domain_box(s_max, v_max, r_min, r_max):
+    """The truncated domain [0, s_max] x [0, v_max] x [r_min, r_max]^2 as
+    {axis: (lower, upper)}."""
+    return dict(zip(AXES, ((0.0, s_max), (0.0, v_max), (r_min, r_max), (r_min, r_max))))
+
+
+def outside(coords, box):
+    """Each coordinate of ``coords`` ({axis: value}) outside ``box``
+    ({axis: (lower, upper)}), as a message; [] when all lie inside.  A NaN
+    coordinate is outside."""
+    return [f"{ax}={x} outside [{box[ax][0]}, {box[ax][1]}]"
+            for ax, x in coords.items() if not box[ax][0] <= x <= box[ax][1]]
 
 
 @dataclass(frozen=True)
 class Grid4D:
-    """Tensor grid over (s, v, r_d, r_f) with strictly increasing axes."""
+    """Tensor grid over (s, v, r_d, r_f) with strictly increasing axes.
+
+    A field on the grid is a vector of length ``n`` in natural ordering;
+    :meth:`view4` and :meth:`index` are the one statement of that layout.
+    """
 
     s_nodes: np.ndarray
     v_nodes: np.ndarray
     rd_nodes: np.ndarray
     rf_nodes: np.ndarray
-    ds: np.ndarray = field(init=False, repr=False)
-    dv: np.ndarray = field(init=False, repr=False)
-    drd: np.ndarray = field(init=False, repr=False)
-    drf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("s_nodes", "v_nodes", "rd_nodes", "rf_nodes"):
+        for ax in AXES:
+            name = f"{ax}_nodes"
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
             object.__setattr__(self, name, arr)
             if arr.ndim != 1 or arr.size < 2:
                 raise InvalidArgumentError(f"{name} must be a 1D axis with >= 2 nodes")
-            if np.any(np.diff(arr) <= 0.0):
-                raise GridDegeneracyError(f"{name} is not strictly increasing")
-        object.__setattr__(self, "ds", np.diff(self.s_nodes))
-        object.__setattr__(self, "dv", np.diff(self.v_nodes))
-        object.__setattr__(self, "drd", np.diff(self.rd_nodes))
-        object.__setattr__(self, "drf", np.diff(self.rf_nodes))
+            checked_steps(arr)
 
     @property
     def shape(self):
-        return (
-            self.s_nodes.size,
-            self.v_nodes.size,
-            self.rd_nodes.size,
-            self.rf_nodes.size,
-        )
+        """Axis sizes (m1, m2, m3, m4) in ``AXES`` order."""
+        return tuple(self.axis_nodes(ax).size for ax in AXES)
 
     @property
     def n(self):
-        m1, m2, m3, m4 = self.shape
-        return m1 * m2 * m3 * m4
+        return math.prod(self.shape)
+
+    @property
+    def box(self):
+        """{axis: (first node, last node)}: the box the axes span."""
+        return {ax: (self.axis_nodes(ax)[0], self.axis_nodes(ax)[-1]) for ax in AXES}
 
     def axis_nodes(self, axis):
-        return {
-            "s": self.s_nodes,
-            "v": self.v_nodes,
-            "rd": self.rd_nodes,
-            "rf": self.rf_nodes,
-        }[axis]
+        return getattr(self, f"{axis}_nodes")
+
+    def steps(self, axis):
+        """The increments along ``axis``."""
+        return np.diff(self.axis_nodes(axis))
+
+    def view4(self, values):
+        """A field vector as a 4D array indexed [i_rf, i_rd, i_v, i_s]."""
+        return np.asarray(values).reshape(self.shape[::-1])
+
+    def index(self, axis):
+        """Each node's index along ``axis``, as a field vector."""
+        k = AXES.index(axis)
+        along = np.arange(self.shape[k]).reshape((-1,) + (1,) * k)
+        return np.broadcast_to(along, self.shape[::-1]).ravel()
 
 
 def build_grid(s_spec, v_spec, rd_spec, rf_spec) -> Grid4D:
-    """Assemble the four axes into a Grid4D (natural ordering: s fastest)."""
+    """Assemble the four axes into a Grid4D."""
     return Grid4D(
         s_nodes=build_s_axis(s_spec),
         v_nodes=build_v_axis(v_spec),
@@ -188,10 +205,5 @@ def uniform_grid(m, s_max, v_max=10.0, r_min=-1.0, r_max=1.0) -> Grid4D:
     """Uniform axes of sizes ``m`` over the same box: the FD baseline's grid."""
     if len(m) != 4 or any(int(mi) < 4 for mi in m):
         raise InvalidArgumentError(f"need four axis sizes, each >= 4, got {m}")
-    m1, m2, m3, m4 = (int(mi) for mi in m)
-    return Grid4D(
-        s_nodes=np.linspace(0.0, s_max, m1),
-        v_nodes=np.linspace(0.0, v_max, m2),
-        rd_nodes=np.linspace(r_min, r_max, m3),
-        rf_nodes=np.linspace(r_min, r_max, m4),
-    )
+    box = domain_box(s_max, v_max, r_min, r_max)
+    return Grid4D(*(np.linspace(*box[ax], int(mi)) for ax, mi in zip(AXES, m)))

@@ -29,6 +29,21 @@ DIVERGENCE_FACTOR = 1e6
 BASIS_BUDGET_BYTES = 2**30
 
 
+def krylov_dim_violations(dim, n=None):
+    """Every violation of the subspace rules; [] when ``dim`` is valid: an
+    explicit ``dim`` is at least 1 and, for N=``n`` rows (None skips this),
+    its (dim + 1) * N * 8-byte basis fits ``BASIS_BUDGET_BYTES``.  ``dim=None``
+    takes the budget cap, which must leave room for one step."""
+    if dim is not None and dim < 1:
+        return [f"Krylov subspace dimension must be >= 1, got {dim}"]
+    rows = (1 if dim is None else dim) + 1
+    if n is not None and rows * n * 8 > BASIS_BUDGET_BYTES:
+        return [f"a Krylov basis of dimension {rows - 1} for N={n} needs "
+                f"{rows * n * 8 / 2**20:.0f} MiB, above the "
+                f"{BASIS_BUDGET_BYTES / 2**20:.0f} MiB budget; lower dim"]
+    return []
+
+
 @dataclass
 class KrylovConfig:
     """Arnoldi settings: subspace cap and residual tolerance.
@@ -51,8 +66,9 @@ class KrylovConfig:
     substeps: int = 1
 
     def __post_init__(self):
-        if self.dim is not None and self.dim < 1:
-            raise InvalidArgumentError(f"subspace dimension must be >= 1, got {self.dim}")
+        violations = krylov_dim_violations(self.dim)
+        if violations:
+            raise InvalidArgumentError(violations[0])
         if self.substeps < 1:
             raise InvalidArgumentError(f"substeps must be >= 1, got {self.substeps}")
 
@@ -84,18 +100,15 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
         raise InvalidArgumentError("initial vector must be nonzero")
     if not tau > 0:
         raise InvalidArgumentError(f"horizon must be positive, got {tau}")
+    violations = krylov_dim_violations(cfg.dim, n)
+    if violations:
+        raise InvalidArgumentError(violations[0])
     dim = cfg.dim
     if dim is None:
         dim = max(1, min(n, BASIS_BUDGET_BYTES // (8 * n) - 1))
     elif dim > n:
         warnings.warn(f"Krylov dimension {dim} exceeds N={n}; clamped", stacklevel=2)
         dim = n
-    if (dim + 1) * n * 8 > BASIS_BUDGET_BYTES:
-        raise InvalidArgumentError(
-            f"a Krylov basis of dimension {dim} for N={n} needs "
-            f"{(dim + 1) * n * 8 / 2**20:.0f} MiB, above the "
-            f"{BASIS_BUDGET_BYTES / 2**20:.0f} MiB budget; lower dim"
-        )
     btol = 1e-14 * float(spla.norm(A, 1)) if A.nnz else 0.0
     w = v0
     for _ in range(cfg.substeps):

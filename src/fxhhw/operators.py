@@ -5,8 +5,7 @@ closed-form RBF-FD weights (or their classical FD limits).  Every PDE
 coefficient factorizes over the four axes (s^2 v, s sqrt(v), r_d s - r_f s,
 ...), so the operator is a table of separable terms: each row is a scalar
 times one Kronecker product of four small per-axis factors, diag(coef) @ D,
-diag(coef), D or the identity.  Natural ordering: the spot index varies
-fastest, then variance, then the domestic and foreign rates.
+diag(coef), D or the identity, in the natural ordering of ``grids``.
 
 The operator splits as A(tau) = A0 + theta_d(tau)*Bd + theta_f(tau)*Bf so
 time stepping does not reassemble anything; when both mean-reversion levels
@@ -25,17 +24,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import stencils
-from .errors import (
-    AssemblyError,
-    ConfigError,
-    GridDegeneracyError,
-    InvalidArgumentError,
-)
-from .grids import Grid4D
+from .errors import AssemblyError, ConfigError, InvalidArgumentError
+from .grids import AXES, Grid4D, checked_steps
 from .model import ModelParams, OptionSpec, levels_time_dependent
 from .stencils import ShapeParameterWarning
 
-AXES = ("s", "v", "rd", "rf")
 BOUNDARY_MODES = ("dirichlet", "neumann_flux", "abc")
 THETA_MODES = ("time_dependent", "constant_approx")
 
@@ -59,13 +52,6 @@ def boundary_violations(mode, kind):
         return [f"boundary mode {mode!r} pins s=0 at the payoff, which is wrong for a "
                 "put whose s=0 value decays with the domestic discount; use mode 'abc'"]
     return []
-
-
-def _check_increments(nodes):
-    d = np.diff(nodes)
-    if np.any(d <= 0) or np.min(d) < 1e-13 * (nodes[-1] - nodes[0]):
-        raise GridDegeneracyError("axis increments are degenerate")
-    return d
 
 
 def _stencil_matrix(m, blocks):
@@ -96,7 +82,7 @@ def first_derivative_matrix(nodes, c):
     m = nodes.size
     if m < 3:
         raise InvalidArgumentError("first-derivative matrix needs >= 3 nodes")
-    d = _check_increments(nodes)
+    d = checked_steps(nodes)
     interior = stencils.first_weight_rows(d[:-1], d[1:] / d[:-1], c)
     # One-sided two-node end rows; same weight pair at both ends.
     A = _stencil_matrix(m, [
@@ -119,7 +105,7 @@ def second_derivative_matrix(nodes, c):
     m = nodes.size
     if m < 4:
         raise InvalidArgumentError("second-derivative matrix needs >= 4 nodes")
-    d = _check_increments(nodes)
+    d = checked_steps(nodes)
     i = np.arange(2, m - 1)
     h = d[i - 1]
     interior = stencils.second_weight_rows(h, (nodes[i] - nodes[i - 2]) / h, d[i] / h, c)
@@ -210,21 +196,11 @@ def _term_table(grid, p, D1, D2):
 
 def face_masks(grid: Grid4D):
     """Boolean masks (length N) for every boundary face, natural ordering."""
-    m1, m2, m3, m4 = grid.shape
-    i_s = np.tile(np.arange(m1), m2 * m3 * m4)
-    i_v = np.tile(np.repeat(np.arange(m2), m1), m3 * m4)
-    i_rd = np.tile(np.repeat(np.arange(m3), m1 * m2), m4)
-    i_rf = np.repeat(np.arange(m4), m1 * m2 * m3)
-    return {
-        "s_lo": i_s == 0,
-        "s_hi": i_s == m1 - 1,
-        "v_lo": i_v == 0,
-        "v_hi": i_v == m2 - 1,
-        "rd_lo": i_rd == 0,
-        "rd_hi": i_rd == m3 - 1,
-        "rf_lo": i_rf == 0,
-        "rf_hi": i_rf == m4 - 1,
-    }
+    masks = {}
+    for ax, m in zip(AXES, grid.shape):
+        i = grid.index(ax)
+        masks[f"{ax}_lo"], masks[f"{ax}_hi"] = i == 0, i == m - 1
+    return masks
 
 
 @dataclass

@@ -5,13 +5,14 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators
 from .errors import ConfigError, InvalidArgumentError, RangeError
-from .grids import Grid4D
+from .grids import AXES, Grid4D, outside
 from .integrators import (
     KrylovConfig,
     MidpointConfig,
@@ -81,9 +82,7 @@ def _release_freed_heap():
 
 def payoff_vector(grid: Grid4D, option: OptionSpec):
     """Initial condition: payoff evaluated on the full grid, natural ordering."""
-    m1, m2, m3, m4 = grid.shape
-    per_s = option.payoff(grid.s_nodes)
-    return np.tile(per_s, m2 * m3 * m4)
+    return option.payoff(grid.s_nodes)[grid.index("s")]
 
 
 @dataclass
@@ -108,33 +107,25 @@ class SolutionField:
 
     def reshape4(self):
         """View as [i_rf, i_rd, i_v, i_s] (s fastest in memory)."""
-        m1, m2, m3, m4 = self.grid.shape
-        return self.values.reshape(m4, m3, m2, m1)
+        return self.grid.view4(self.values)
 
     def interpolate(self, point, method="linear"):
         return interpolate(self, point, method=method)
 
     def save(self, path):
-        np.savez(
-            path,
-            values=self.values,
-            tau=self.tau,
-            s_nodes=self.grid.s_nodes,
-            v_nodes=self.grid.v_nodes,
-            rd_nodes=self.grid.rd_nodes,
-            rf_nodes=self.grid.rf_nodes,
-        )
+        nodes = {f"{ax}_nodes": self.grid.axis_nodes(ax) for ax in AXES}
+        np.savez(path, values=self.values, tau=self.tau, **nodes)
 
     @classmethod
     def load(cls, path):
-        data = np.load(path)
-        grid = Grid4D(
-            s_nodes=data["s_nodes"],
-            v_nodes=data["v_nodes"],
-            rd_nodes=data["rd_nodes"],
-            rf_nodes=data["rf_nodes"],
-        )
-        return cls(values=data["values"], grid=grid, tau=float(data["tau"]))
+        """Read a field written by :meth:`save`; a missing or unreadable file,
+        or an archive without the saved arrays, is a ConfigError."""
+        try:
+            with np.load(path) as data:
+                grid = Grid4D(**{f"{ax}_nodes": data[f"{ax}_nodes"] for ax in AXES})
+                return cls(values=data["values"], grid=grid, tau=float(data["tau"]))
+        except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as err:
+            raise ConfigError([f"cannot read a saved field from {path}: {err}"]) from None
 
 
 def _axis_weights_linear(nodes, x):
@@ -169,18 +160,11 @@ def interpolate(field: SolutionField, point, method="linear"):
     experiment pipeline uses because the coarse rate axes otherwise leak far
     boundary values into near-bound queries.
     """
-    s, v, rd, rf = (float(x) for x in point)
     g = field.grid
-    for x, nodes, name in (
-        (s, g.s_nodes, "s"),
-        (v, g.v_nodes, "v"),
-        (rd, g.rd_nodes, "rd"),
-        (rf, g.rf_nodes, "rf"),
-    ):
-        if x < nodes[0] or x > nodes[-1]:
-            raise RangeError(
-                f"query {name}={x} outside [{nodes[0]}, {nodes[-1]}]"
-            )
+    coords = dict(zip(AXES, map(float, point), strict=True))
+    bad = outside(coords, g.box)
+    if bad:
+        raise RangeError("query " + "; ".join(bad))
     if method == "linear":
         axw = _axis_weights_linear
     elif method == "cubic":
@@ -188,19 +172,13 @@ def interpolate(field: SolutionField, point, method="linear"):
     else:
         raise InvalidArgumentError(f"unknown interpolation method {method!r}")
 
-    si, sw = axw(g.s_nodes, s)
-    vi, vw = axw(g.v_nodes, v)
-    di, dw = axw(g.rd_nodes, rd)
-    fi, fw = axw(g.rf_nodes, rf)
+    # Indices and weights per axis, rf first like the axes of reshape4.
+    idx, w = zip(*(axw(g.axis_nodes(ax), coords[ax]) for ax in AXES[::-1]))
     # Exactly-on-node queries must return the stored value bit-for-bit.
-    if sw.max() == 1.0 and vw.max() == 1.0 and dw.max() == 1.0 and fw.max() == 1.0:
-        return float(
-            field.reshape4()[
-                fi[fw.argmax()], di[dw.argmax()], vi[vw.argmax()], si[sw.argmax()]
-            ]
-        )
-    block = field.reshape4()[np.ix_(fi, di, vi, si)]
-    return float(np.einsum("f,d,v,s,fdvs->", fw, dw, vw, sw, block))
+    if all(wk.max() == 1.0 for wk in w):
+        return float(field.reshape4()[tuple(ik[wk.argmax()] for ik, wk in zip(idx, w))])
+    block = field.reshape4()[np.ix_(*idx)]
+    return float(np.einsum("f,d,v,s,fdvs->", *w, block))
 
 
 def price(
@@ -283,10 +261,9 @@ def greeks(field: SolutionField, rd=None, rf=None) -> GreeksSlice:
     g = field.grid
     rd = float(g.rd_nodes[0] if rd is None else rd)
     rf = float(g.rf_nodes[0] if rf is None else rf)
-    if not (g.rd_nodes[0] <= rd <= g.rd_nodes[-1]):
-        raise RangeError(f"rd={rd} outside the rate axis")
-    if not (g.rf_nodes[0] <= rf <= g.rf_nodes[-1]):
-        raise RangeError(f"rf={rf} outside the rate axis")
+    bad = outside({"rd": rd, "rf": rf}, g.box)
+    if bad:
+        raise RangeError("greeks slice " + "; ".join(bad))
 
     di, dw = _axis_weights_linear(g.rd_nodes, rd)
     fi, fw = _axis_weights_linear(g.rf_nodes, rf)

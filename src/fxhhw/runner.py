@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -13,13 +14,10 @@ import numpy as np
 from . import pricing
 from .config import ExperimentConfig
 from .errors import ConfigError, RangeError
+from .grids import AXES, outside
 from .integrators import KrylovConfig, estimate_lambda_max
 from .mc import simulate_price
 from .pricing import SolutionField
-
-WORKERS_ENV = "FXHHW_WORKERS"
-# Axis name -> position in the grid shape (m1, m2, m3, m4).
-SLICE_AXES = {"s": 0, "v": 1, "rd": 2, "rf": 3}
 
 
 @dataclass
@@ -84,7 +82,7 @@ class ExperimentReport:
             if row.sym_lambda_max is not None:
                 lines.append(f"    sym lambda_max = {row.sym_lambda_max:.2f}"
                              + ("" if row.re_lambda_max is None
-                                else f", rightmost Re = {row.re_lambda_max:.4f}"))
+                                else f", dominant Re = {row.re_lambda_max:.4f}"))
         for label, est in self.mc_estimates:
             lines.append(
                 f"  MC {label}: {est.price:.5f} +/- {est.stderr:.5f} ({est.paths} paths)"
@@ -186,20 +184,19 @@ def fill_roc(rows):
 
 
 def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32),
-          workers=None) -> ExperimentReport:
-    """Refine one axis over a doubling ladder and report prices + ROC."""
+          workers=1) -> ExperimentReport:
+    """Refine one axis over a doubling ladder and report prices + ROC;
+    ``workers > 1`` solves the rungs in that many processes."""
     ladder = parse_ladder(ladder)
-    if axis not in SLICE_AXES:
+    if axis not in AXES:
         raise ConfigError([f"unknown sweep axis {axis!r}"])
-    pos = SLICE_AXES[axis]
+    pos = AXES.index(axis)
     ms = []
     for size in ladder:
         m = list(cfg.m)
         m[pos] = size
         ms.append(tuple(m))
 
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     entries = [(cfg, m) for m in ms]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -225,35 +222,28 @@ def surface_export(field: SolutionField, slice_spec, path, fixed=None):
     """Write (x, y, V) triples for a 2D slice, e.g. slice_spec='sv'.
 
     ``fixed`` holds the values of the two remaining coordinates (defaults to
-    the first node of each); a value for a slice axis is a ConfigError. Queries interpolate multilinearly, so a slice
-    along grid axes at nodal fixed values reproduces stored values exactly.
+    the first node of each); a value for a slice axis or an unknown axis is
+    a ConfigError.  Queries interpolate multilinearly, so a slice along grid
+    axes at nodal fixed values reproduces stored values exactly.
     """
-    parts = []
-    rest = slice_spec
-    while rest:
-        for cand in ("rd", "rf", "s", "v"):
-            if rest.startswith(cand):
-                parts.append(cand)
-                rest = rest[len(cand):]
-                break
-        else:
-            raise RangeError(f"cannot parse slice spec {slice_spec!r}")
-    if len(parts) != 2 or parts[0] == parts[1]:
-        raise RangeError(f"slice spec must name two distinct axes, got {slice_spec!r}")
-    ax_x, ax_y = parts
+    axis = "|".join(AXES)
+    match = re.fullmatch(f"({axis})({axis})", slice_spec)
+    if not match or match[1] == match[2]:
+        raise RangeError(f"slice spec must name two distinct axes of {AXES}, "
+                         f"got {slice_spec!r}")
+    ax_x, ax_y = parts = match.groups()
     g = field.grid
     fixed = dict(fixed or {})
-    on_slice = [a for a in parts if a in fixed]
-    if on_slice:
-        raise ConfigError([f"fixed value given for {a}, an axis of the {slice_spec!r} slice"
-                           for a in on_slice])
-    others = [a for a in SLICE_AXES if a not in parts]
-    point_template = {}
-    for a in others:
-        point_template[a] = float(fixed.get(a, g.axis_nodes(a)[0]))
-        lo, hi = g.axis_nodes(a)[0], g.axis_nodes(a)[-1]
-        if not lo <= point_template[a] <= hi:
-            raise RangeError(f"fixed {a}={point_template[a]} outside [{lo}, {hi}]")
+    refused = [f"fixed value given for {a}, an axis of the {slice_spec!r} slice"
+               for a in fixed if a in parts]
+    refused += [f"fixed value given for unknown axis {a!r}" for a in fixed if a not in AXES]
+    if refused:
+        raise ConfigError(refused)
+    point_template = {a: float(fixed.get(a, g.axis_nodes(a)[0]))
+                      for a in AXES if a not in parts}
+    bad = outside(point_template, g.box)
+    if bad:
+        raise RangeError("fixed " + "; ".join(bad))
 
     xs = g.axis_nodes(ax_x)
     ys = g.axis_nodes(ax_y)
@@ -262,9 +252,7 @@ def surface_export(field: SolutionField, slice_spec, path, fixed=None):
         writer.writerow([ax_x, ax_y, "value"])
         for y in ys:
             for x in xs:
-                pt = dict(point_template)
-                pt[ax_x] = float(x)
-                pt[ax_y] = float(y)
-                val = field.interpolate((pt["s"], pt["v"], pt["rd"], pt["rf"]), "linear")
+                pt = {**point_template, ax_x: float(x), ax_y: float(y)}
+                val = field.interpolate([pt[a] for a in AXES], "linear")
                 writer.writerow([repr(float(x)), repr(float(y)), repr(val)])
     return len(xs) * len(ys)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConditioningError, InvalidArgumentError
+from .grids import AXES
 
 # Below this c/h ratio the weights leave the wide-shape regime the closed
 # forms were derived in; still usable, but flagged.
@@ -202,7 +203,7 @@ def boundary_second_row(c):
 def shape_parameters(grid):
     """Per-axis shape parameters {axis: c}: c = 2 max(ds) on the spot axis
     and 3 max(d) on the variance and rate axes."""
-    steps = {"s": grid.ds, "v": grid.dv, "rd": grid.drd, "rf": grid.drf}
+    steps = {axis: grid.steps(axis) for axis in AXES}
     for axis, d in steps.items():
         if len(d) < 1:
             raise InvalidArgumentError(f"axis {axis} needs at least 2 nodes")

@@ -8,9 +8,17 @@ import yaml
 from fxhhw import cli, operators, pricing, runner
 from fxhhw.config import bundled_config_path, from_dict, from_yaml
 from fxhhw.errors import ConfigError
+from fxhhw.grids import AXES
 from fxhhw.mc import McConfig
 from fxhhw.pricing import SolutionField
-from fxhhw.runner import ConvergenceRow, fill_roc, parse_ladder, surface_export, sweep
+from fxhhw.runner import (
+    ConvergenceRow,
+    ExperimentReport,
+    fill_roc,
+    parse_ladder,
+    surface_export,
+    sweep,
+)
 
 
 def tiny_config_dict():
@@ -144,6 +152,19 @@ class TestConfigParsing:
         raw["solver"]["delta_tau"] = 0.25
         assert from_dict(raw).delta_tau == 0.25
 
+    @pytest.mark.parametrize("axis, value, box", [
+        ("s", -1.0, "[0.0, 1400.0]"), ("s", 1500.0, "[0.0, 1400.0]"),
+        ("v", -0.01, "[0.0, 10.0]"), ("v", 11.0, "[0.0, 10.0]"),
+        ("rd", -1.5, "[-1.0, 1.0]"), ("rd", 1.5, "[-1.0, 1.0]"),
+        ("rf", -1.5, "[-1.0, 1.0]"), ("rf", 1.5, "[-1.0, 1.0]"),
+    ])
+    def test_query_outside_the_grid_box_reported(self, axis, value, box):
+        raw = tiny_config_dict()
+        raw["queries"][1]["point"][AXES.index(axis)] = value
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations == [f"queries[1].point has {axis}={value} outside {box}"]
+
     def test_put_with_pinning_boundary_rejected(self):
         raw = tiny_config_dict()
         raw["option"]["kind"] = "put"
@@ -254,6 +275,12 @@ class TestSurfaceExport:
             pt = (float(s), float(v), 0.1, 0.1)
             assert float(val) == tiny_field.interpolate(pt, "linear")
 
+    def test_unknown_fixed_axis_rejected(self, tiny_field, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            surface_export(tiny_field, "sv", tmp_path / "x.csv", fixed={"rd": 0.1, "q": 1.0})
+        assert err.value.violations == ["fixed value given for unknown axis 'q'"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_slice_spec_rejected(self, tiny_field, tmp_path):
         from fxhhw.errors import RangeError
 
@@ -353,8 +380,15 @@ class TestCli:
         ("queries", "point", [100.0],
          "queries[0].point must be four numbers (s, v, rd, rf), got [100.0]"),
         ("solver", "delta_tau", "x", "solver.delta_tau must be a number, got 'x'"),
+        ("solver", "krylov_dim", 0,
+         "solver.krylov_dim: Krylov subspace dimension must be >= 1, got 0"),
+        # N = 8*6*6*6 = 1728: a 100,001-vector basis needs 1.3 GiB.
+        ("solver", "krylov_dim", 100000,
+         "solver.krylov_dim: a Krylov basis of dimension 100000 for N=1728 needs "
+         "1318 MiB, above the 1024 MiB budget; lower dim"),
     ], ids=["strike", "kappa", "m-scalar", "m-item", "s_max", "krylov_dim", "mc-paths",
-            "theta_d", "no-point", "short-point", "delta_tau"])
+            "theta_d", "no-point", "short-point", "delta_tau", "krylov_dim-zero",
+            "krylov_dim-over-budget"])
     def test_unconvertible_value_exit_two(self, tmp_path, capsys, entry, key, value,
                                           message):
         raw = tiny_config_dict()
@@ -388,6 +422,41 @@ class TestCli:
         assert err == ["config error: fixed value given for s, an axis of the 'sv' slice"]
         assert not (tmp_path / "slice.csv").exists()
 
+    @pytest.mark.parametrize("content", [None, "option: [call, 100\n"],
+                             ids=["missing", "malformed-yaml"])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.yaml"
+        if content is not None:
+            cfg_path.write_text(content)
+        assert cli.main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: cannot read config {cfg_path}: ")
+
+    @pytest.mark.parametrize("content", [None, "not an archive\n", "no-s-nodes"],
+                             ids=["missing", "not-npz", "no-s-nodes"])
+    def test_unreadable_field_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path / "f.npz"
+        if content == "no-s-nodes":
+            np.savez(path, values=np.zeros(4), tau=1.0)
+        elif content is not None:
+            path.write_text(content)
+        code = cli.main(["export", str(path), "--out", str(tmp_path / "slice.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: cannot read a saved field from {path}: ")
+        assert not (tmp_path / "slice.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5", "two"])
+    def test_sweep_workers_must_be_positive(self, tmp_path, capsys, workers):
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(yaml.safe_dump(tiny_config_dict()))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["sweep", str(cfg_path), "--workers", workers])
+        assert exit_.value.code == 2
+        assert f"must be a positive integer, got {workers!r}" in capsys.readouterr().err
+
     def test_sweep_subcommand_with_synthetic_ladder(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.yaml"
         raw = tiny_config_dict()
@@ -413,6 +482,12 @@ class TestRunnerDiagnostics:
         row = report.rows[0]
         assert row.sym_lambda_max is not None
         assert row.re_lambda_max is not None and row.re_lambda_max < 0
+
+    def test_text_report_labels_the_dominant_eigenvalue(self):
+        row = ConvergenceRow(m=(8, 6, 6, 6), values=[1.0], rel_errors=[None], elapsed=0.0,
+                             re_lambda_max=-2.5, sym_lambda_max=0.25)
+        report = ExperimentReport(name="x", config_hash="0", rows=[row], query_labels=["V1"])
+        assert "sym lambda_max = 0.25, dominant Re = -2.5000" in report.to_text()
 
     def test_diagnostics_reuse_the_solved_operator(self, monkeypatch):
         calls = []

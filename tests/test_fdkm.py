@@ -19,7 +19,7 @@ class TestFdkmConfig:
 
     def test_uniform_axes(self):
         g = uniform_grid((8, 6, 6, 6), 1400.0)
-        for d in (g.ds, g.dv, g.drd, g.drf):
+        for d in (g.steps("s"), g.steps("v"), g.steps("rd"), g.steps("rf")):
             np.testing.assert_allclose(d, d[0], rtol=1e-12)
 
 

@@ -1,10 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fxhhw.errors import GridDegeneracyError, InvalidArgumentError
-from fxhhw.grids import AxisSpec, Grid4D, build_rate_axis, build_s_axis, build_v_axis
+from fxhhw.grids import (
+    AXES,
+    AxisSpec,
+    Grid4D,
+    build_focused_axis,
+    build_rate_axis,
+    build_s_axis,
+    build_v_axis,
+    uniform_grid,
+)
+from fxhhw.model import OptionSpec
+from fxhhw.operators import face_masks
+from fxhhw.pricing import SolutionField, payoff_vector
 from conftest import experiment_grid
 
 
@@ -80,6 +94,15 @@ class TestRateAxis:
         with pytest.raises(InvalidArgumentError):
             build_rate_axis(AxisSpec(6, -1.0, 1.0, 1.5, 500.0))
 
+    @pytest.mark.parametrize("spec", [
+        r_spec(6), r_spec(10), r_spec(14), r_spec(5, xi=1e-12),
+        AxisSpec(9, -0.5, 0.25, 0.02, 40.0),
+    ])
+    def test_is_the_focused_axis_with_stretch_over_r_max(self, spec):
+        focused = build_focused_axis(AxisSpec(spec.m, spec.lower, spec.upper, spec.focus,
+                                              spec.xi / spec.upper))
+        assert build_rate_axis(spec).tobytes() == focused.tobytes()
+
 
 class TestUniformFallback:
     def test_tiny_xi_gives_uniform(self):
@@ -100,7 +123,7 @@ class TestGrid4D:
 
     def test_all_axes_strictly_increasing(self):
         g = experiment_grid((8, 6, 6, 6))
-        for d in (g.ds, g.dv, g.drd, g.drf):
+        for d in (g.steps("s"), g.steps("v"), g.steps("rd"), g.steps("rf")):
             assert np.all(d > 0)
 
     def test_non_monotone_axis_rejected(self):
@@ -115,11 +138,31 @@ class TestGrid4D:
     def test_concentration_at_focus_points(self):
         g = experiment_grid((16, 10, 8, 8))
         i = int(np.argmin(np.abs(g.s_nodes - 100.0)))
-        assert np.argmin(g.ds) in (i - 1, i)
+        assert np.argmin(g.steps("s")) in (i - 1, i)
         j = int(np.argmin(np.abs(g.v_nodes - 0.04)))
-        assert np.argmin(g.dv) in (j - 1, j)
+        assert np.argmin(g.steps("v")) in (j - 1, j)
         k = int(np.argmin(np.abs(g.rd_nodes - 0.1)))
-        assert np.argmin(g.drd) in (k - 1, k)
+        assert np.argmin(g.steps("rd")) in (k - 1, k)
+
+    def test_axes_order_is_the_field_layout(self):
+        # Natural ordering written out: flat = i_s + m1*(i_v + m2*(i_rd + m3*i_rf)).
+        g = uniform_grid((8, 5, 4, 6), 1400.0)
+        assert g.shape == (8, 5, 4, 6)
+        m = dict(zip(AXES, g.shape))
+        values = np.arange(g.n, dtype=float)
+        cube = SolutionField(values=values, grid=g, tau=0.0).reshape4()
+        masks = face_masks(g)
+        option = OptionSpec(kind="call", strike=700.0, maturity=1.0)
+        payoff = payoff_vector(g, option)
+        per_s = option.payoff(g.s_nodes)
+        for i in itertools.product(*(range(m[ax]) for ax in AXES)):
+            at = dict(zip(AXES, i))
+            flat = at["s"] + m["s"] * (at["v"] + m["v"] * (at["rd"] + m["rd"] * at["rf"]))
+            assert cube[at["rf"], at["rd"], at["v"], at["s"]] == values[flat]
+            assert payoff[flat] == per_s[at["s"]]
+            for ax in AXES:
+                assert masks[f"{ax}_lo"][flat] == (at[ax] == 0)
+                assert masks[f"{ax}_hi"][flat] == (at[ax] == m[ax] - 1)
 
     def test_refinement_halves_max_increment(self):
         # Asymptotic smooth-map property; at small m the boundary cell of a

@@ -271,10 +271,9 @@ class TestShapeParameters:
             v_nodes = np.linspace(0, 1, 4)
             rd_nodes = np.linspace(0, 1, 4)
             rf_nodes = np.linspace(0, 1, 4)
-            ds = np.array([])
-            dv = np.diff(v_nodes)
-            drd = np.diff(rd_nodes)
-            drf = np.diff(rf_nodes)
+
+            def steps(self, axis):
+                return np.diff(getattr(self, f"{axis}_nodes"))
 
         with pytest.raises(InvalidArgumentError):
             shape_parameters(Stub())
