@@ -26,14 +26,8 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    ladder = runner.parse_ladder(args.ladder)
-    cfg = _load_config(args.config)
-    report = runner.sweep(cfg, axis=args.axis, ladder=ladder, workers=args.workers)
-    if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        report.write_csv(os.path.join(args.out, f"{report.name}_results.csv"))
+    report = runner.sweep(_load_config(args.config), axis=args.axis, ladder=args.ladder,
+                          workers=args.workers, out_dir=args.out)
     sys.stdout.write(report.to_text())
     return 0
 

@@ -1,25 +1,24 @@
-"""Experiment configuration: YAML ingestion, validation, grid construction."""
+"""Experiment configuration: YAML ingestion, strict conversion, grid construction."""
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 
-import numpy as np
 import yaml
 
-from .errors import ConfigError, InvalidArgumentError, ModelConfigError
-from .grids import AXES, AxisSpec, Grid4D, build_grid, domain_box, outside, uniform_grid
+from .errors import ConfigError, GridDegeneracyError, InvalidArgumentError, ModelConfigError
+from .grids import (AXES, AXIS_BUILDERS, AxisSpec, Grid4D, build_grid, domain_box, outside,
+                    uniform_grid)
 from .integrators import krylov_dim_violations
 from .mc import McConfig
-from .model import ModelParams, OptionSpec, correlation_matrix
+from .model import CORRELATION_KEYS, ModelParams, OptionSpec, correlation_matrix
 from .operators import THETA_MODES, boundary_violations, time_dependent_operator
-from .pricing import solver_violations
+from .pricing import INTERPOLATIONS, solver_violations
 
 METHODS = ("pm", "fdkm")
-INTERPOLATIONS = ("linear", "cubic")
 
 
 @dataclass
@@ -57,32 +56,24 @@ class ExperimentConfig:
     seed: int = 0
     compute_lambda_max: bool = False
 
+    def grid_settings(self):
+        """(m, method, box, focus, xi), the arguments of :func:`size_violations`."""
+        return (self.m, self.method, [getattr(self, key) for key in BOX_KEYS],
+                (self.option.strike, self.model.v0, self.model.rd0, self.model.rf0),
+                [getattr(self, f"xi_{ax}") for ax in AXES])
+
     def grid(self) -> Grid4D:
-        box = (self.s_max, self.v_max, self.r_min, self.r_max)
-        if self.method == "fdkm":
-            return uniform_grid(self.m, *box)
-        focus = (self.option.strike, self.model.v0, self.model.rd0, self.model.rf0)
-        xi = (self.xi_s, self.xi_v, self.xi_rd, self.xi_rf)
-        return build_grid(*(
-            AxisSpec(m, *bounds, f, x)
-            for m, bounds, f, x in zip(self.m, domain_box(*box).values(), focus, xi)
-        ))
+        m, method, box, focus, xi = self.grid_settings()
+        if method == "fdkm":
+            return uniform_grid(m, *box)
+        return build_grid(*(AxisSpec(*args) for args in _axis_args(m, box, focus, xi)))
 
     def with_m(self, m):
         return replace(self, m=tuple(int(x) for x in m))
 
     def canonical_dict(self):
-        d = dict(self.__dict__)
-        d["model"] = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in self.model.__dict__.items()
-        }
-        d["option"] = dict(self.option.__dict__)
-        d["queries"] = [
-            {"point": list(q.point), "reference": q.reference, "label": q.label}
-            for q in self.queries
-        ]
-        d["mc"] = dict(self.mc.__dict__) if self.mc else None
+        d = asdict(self)
+        d["model"]["correlation"] = self.model.correlation.tolist()
         return d
 
     def config_hash(self):
@@ -90,31 +81,66 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-# correlation_matrix's arguments, in order.
-CORRELATION_KEYS = ("sv", "sd", "sf", "vd", "vf", "df")
+def _axis_args(m, box, focus, xi):
+    """The AxisSpec arguments (m, lower, upper, focus, xi) of each axis."""
+    return [(mk, *bounds, f, x)
+            for mk, bounds, f, x in zip(m, domain_box(*box).values(), focus, xi)]
+
+
+def size_violations(krylov_dim, m, method, box, focus, xi):
+    """Every violation, named by its key, of the rules that depend on the axis
+    sizes ``m``: the Krylov subspace rule and those of the builders
+    ``ExperimentConfig.grid`` calls (box bounds in ``BOX_KEYS`` order, the
+    focus and stretch of each axis in ``AXES`` order), each axis apart."""
+    out = [f"solver.krylov_dim: {v}" for v in krylov_dim_violations(krylov_dim, math.prod(m))]
+    if method == "fdkm":
+        builds = [("grid", lambda: uniform_grid(m, *box))]
+    else:
+        builds = [(f"grid, {ax} axis (grid.m[{k}] = {args[0]})",
+                   lambda build=build, args=args: build(AxisSpec(*args)))
+                  for k, (ax, build, args) in enumerate(zip(AXES, AXIS_BUILDERS,
+                                                            _axis_args(m, box, focus, xi)))]
+    for where, build in builds:
+        try:
+            build()
+        except (InvalidArgumentError, GridDegeneracyError) as err:
+            out += [f"{where}: {v}" for v in err.violations]
+    return out
+
+
 # domain_box's arguments, in order.
 BOX_KEYS = ("s_max", "v_max", "r_min", "r_max")
 GRID_KEYS = ("m", *BOX_KEYS, "xi_s", "xi_v", "xi_rd", "xi_rf")
 SOLVER_KEYS = ("solver", "boundary", "theta_mode", "method", "interpolation",
                "delta_tau", "krylov_dim")
+# The model keys set ModelParams' float fields; those in MODEL_DEFAULTS may be unset.
+MODEL_SCALARS = tuple(f.name for f in fields(ModelParams) if f.type == "float")
+MODEL_DEFAULTS = {"rd0": 0.0, "rf0": 0.0, "lambda_d": 0.0, "lambda_f": 0.0}
 # The keys from_dict reads, per entry; any other key is a violation.
 KNOWN_KEYS = {
     "": ("name", "model", "option", "grid", "solver", "queries", "mc", "seed",
          "compute_lambda_max"),
-    "model": ("s0", "v0", "rd0", "rf0", "kappa", "vbar", "gamma", "lambda_d",
-              "lambda_f", "eta_d", "eta_f", "theta_d", "theta_f", "correlation"),
+    "model": (*MODEL_SCALARS, "theta_d", "theta_f", "correlation"),
     "model.correlation": CORRELATION_KEYS,
     "option": tuple(f.name for f in fields(OptionSpec)),
     "grid": GRID_KEYS,
     "solver": SOLVER_KEYS,
-    "mc": ("paths", "steps_per_year", "seed", "antithetic"),  # McConfig fields
+    "mc": tuple(f.name for f in fields(McConfig)),
     "queries": tuple(f.name for f in fields(QueryPoint)),
 }
 
 
-def _require(cond, msg, violations):
-    if not cond:
-        violations.append(msg)
+def _strict(kind):
+    """Converter to ``kind`` (float, int or bool) that takes only a value of
+    that kind: a number but no boolean for float, a whole number for int (40
+    and 40.0, not 40.5 or true), a boolean for bool."""
+    def convert(value):
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError(value)
+        if kind is int and not float(value).is_integer():
+            raise ValueError(value)
+        return kind(float(value)) if kind is int else kind(value)
+    return convert
 
 
 def _items(kind, n):
@@ -125,6 +151,16 @@ def _items(kind, n):
             raise ValueError(value)
         return out
     return convert
+
+
+# The converter of each declared field type, and what a valid value is.  A
+# name (str) is taken as it is: the rule that owns the names refuses others.
+CONVERTERS = {"float": (_strict(float), "a number"), "int": (_strict(int), "an integer"),
+              "bool": (_strict(bool), "a boolean (true or false)")}
+# The declared type of each field, per type that config keys set fields of.
+FIELD_TYPES = {cls: {f.name: f.type for f in fields(cls)}
+               for cls in (ExperimentConfig, ModelParams, OptionSpec, McConfig, QueryPoint)}
+REQUIRED = object()  # the default of a key that must be set
 
 
 def _mapping(value, where, violations):
@@ -144,139 +180,118 @@ def _mapping(value, where, violations):
 def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     """Build and validate a config from a plain dict; collects all violations.
 
-    Every value is converted to the type it configures; a value that does not
-    convert is a violation like one out of range, so a bad config raises
-    :class:`ConfigError` and nothing else.
+    Every value converts strictly to the type it configures, or is a
+    violation.  The rules come from their owners, each called once; a bad
+    config raises :class:`ConfigError` and nothing else.
     """
     violations = []
 
-    def convert(value, where, kind=float, what="a number", valid=lambda x: True):
-        """``kind(value)`` when it converts and is ``valid``; otherwise None,
-        with the violation "``where`` must be ``what``" recorded."""
+    def convert(value, where, kind, what):
+        """``kind(value)``, or None with "``where`` must be ``what``" recorded."""
         try:
-            out = kind(value)
-            if valid(out):
-                return out
-        except (TypeError, ValueError):
-            pass
-        violations.append(f"{where} must be {what}, got {value!r}")
-        return None
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            violations.append(f"{where} must be {what}, got {value!r}")
+            return None
 
-    def optional(value, where, kind=float, what="a number"):
-        return None if value is None else convert(value, where, kind, what)
+    def typed(entry, where, owner, key, default=None):
+        """``entry[key]`` converted to the type ``owner`` declares ("X | None" takes
+        None too), or ``default`` when unset (a violation if ``REQUIRED``)."""
+        where = f"{where}.{key}".lstrip(".")
+        if entry.get(key) is None and default is REQUIRED:
+            violations.append(f"{where} missing")
+            return None
+        if key not in entry:
+            return default
+        value, declared = entry[key], FIELD_TYPES[owner][key]
+        kind = declared.removesuffix(" | None")
+        if kind == "str" or (value is None and kind != declared):
+            return value
+        return convert(value, where, *CONVERTERS[kind])
+
+    def build(section, owner, **values):
+        """``owner(**values)`` if all converted; its violations go under ``section``."""
+        if any(value is None for value in values.values()):
+            return None
+        try:
+            return owner(**values)
+        except (ModelConfigError, InvalidArgumentError) as err:
+            violations.extend(f"{section}.{v}" for v in err.violations)
+            return None
 
     raw = _mapping(raw, "", violations)
     md = _mapping(raw.get("model"), "model", violations)
     corr = _mapping(md.get("correlation"), "model.correlation", violations)
-    od = _mapping(raw.get("option"), "option", violations)
-    gd = _mapping(raw.get("grid"), "grid", violations)
-    sd = _mapping(raw.get("solver"), "solver", violations)
-    mcd = _mapping(raw.get("mc"), "mc", violations)
+    od, gd, sd, mcd = (_mapping(raw.get(key), key, violations)
+                       for key in ("option", "grid", "solver", "mc"))
     qs = raw.get("queries") or []
     if not isinstance(qs, list):
         violations.append(f"queries must be a list, got {qs!r}")
         qs = []
     qs = [_mapping(q, f"queries[{i}]", violations) for i, q in enumerate(qs)]
 
-    positive = ("a positive number", lambda x: x > 0)
-    nonnegative = ("a nonnegative number", lambda x: x >= 0)
-    model_values = {}
-    for key, (what, valid) in (
-        ("kappa", positive), ("gamma", positive), ("eta_d", positive),
-        ("eta_f", positive), ("vbar", nonnegative), ("v0", nonnegative), ("s0", positive),
-    ):
-        if md.get(key) is None:
-            violations.append(f"model.{key} missing")
-        else:
-            model_values[key] = convert(md[key], f"model.{key}", what=what, valid=valid)
-    for key in ("rd0", "rf0", "lambda_d", "lambda_f"):
-        model_values[key] = convert(md.get(key, 0.0), f"model.{key}")
-    theta_d, theta_f = (
-        convert(md.get(key, (0.0, 0.0, 0.0)), f"model.{key}", _items(float, 3),
-                "3 coefficients (a1, a2, a3)")
-        for key in ("theta_d", "theta_f")
-    )
-    rho = [convert(corr.get(k, 0.0), f"model.correlation.{k}") for k in CORRELATION_KEYS]
-    kind = od.get("kind")
-    _require(kind in ("call", "put"), f"option.kind must be call|put, got {kind!r}", violations)
-    strike, maturity = (convert(od.get(key, 0), f"option.{key}", float, *positive)
-                        for key in ("strike", "maturity"))
+    params = {key: typed(md, "model", ModelParams, key, MODEL_DEFAULTS.get(key, REQUIRED))
+              for key in MODEL_SCALARS}
+    theta_d, theta_f = (convert(md.get(key, (0.0, 0.0, 0.0)), f"model.{key}",
+                                _items(_strict(float), 3), "3 coefficients (a1, a2, a3)")
+                        for key in ("theta_d", "theta_f"))
+    rho = [convert(corr.get(k, 0.0), f"model.correlation.{k}", *CONVERTERS["float"])
+           for k in CORRELATION_KEYS]
+    model = build("model", ModelParams, **params, theta_d_params=theta_d, theta_f_params=theta_f,
+                  correlation=None if None in rho else correlation_matrix(*rho))
+    opt = {key: typed(od, "option", OptionSpec, key, REQUIRED) for key in KNOWN_KEYS["option"]}
+    option = build("option", OptionSpec, **opt)
 
-    m = convert(gd.get("m", ()), "grid.m", _items(int, 4), "four sizes >= 4",
-                valid=lambda m: min(m) >= 4)
-    # Unset grid keys take the ExperimentConfig defaults; s_max's is 14 strikes.
-    grid = {key: convert(gd[key], f"grid.{key}") for key in GRID_KEYS[1:] if key in gd}
-    grid.setdefault("s_max", None if strike is None else 14.0 * strike)
-    bounds = [grid.get(key, getattr(ExperimentConfig, key, None)) for key in BOX_KEYS]
-
-    # Unset solver keys take the ExperimentConfig defaults.
-    sol = {key: sd.get(key, getattr(ExperimentConfig, key)) for key in SOLVER_KEYS}
-    sol["delta_tau"] = optional(sol["delta_tau"], "solver.delta_tau")
-    sol["krylov_dim"] = optional(sol["krylov_dim"], "solver.krylov_dim", int, "an integer")
-    if m is not None:
-        violations += [f"solver.krylov_dim: {v}"
-                       for v in krylov_dim_violations(sol["krylov_dim"], math.prod(m))]
-    _require(sol["theta_mode"] in THETA_MODES,
-             f"theta_mode must be one of {THETA_MODES}", violations)
-    _require(sol["method"] in METHODS,
-             f"method must be one of {METHODS}, got {sol['method']!r}", violations)
-    _require(sol["interpolation"] in INTERPOLATIONS,
-             f"interpolation must be one of {INTERPOLATIONS}", violations)
+    # grid.m converts to four integers; the ">= 4" is the axis builders' rule.
+    m = convert(gd.get("m", ()), "grid.m", _items(_strict(int), 4), "four sizes >= 4")
+    # Unset grid and solver keys take the ExperimentConfig defaults; s_max's
+    # is 14 strikes.
+    s_max = None if opt["strike"] is None else 14.0 * opt["strike"]
+    grid = {key: typed(gd, "grid", ExperimentConfig, key, getattr(ExperimentConfig, key, s_max))
+            for key in GRID_KEYS[1:]}
+    sol = {key: typed(sd, "solver", ExperimentConfig, key, getattr(ExperimentConfig, key))
+           for key in SOLVER_KEYS}
+    if sol["theta_mode"] not in THETA_MODES:
+        violations.append(f"theta_mode must be one of {THETA_MODES}")
+    if sol["method"] not in METHODS:
+        violations.append(f"method must be one of {METHODS}, got {sol['method']!r}")
+    if sol["interpolation"] not in tuple(INTERPOLATIONS):
+        violations.append(f"interpolation must be one of {tuple(INTERPOLATIONS)}")
     time_dependent = None not in (theta_d, theta_f) and time_dependent_operator(
-        sol["theta_mode"], theta_d, theta_f
-    )
+        sol["theta_mode"], theta_d, theta_f)
     # An unconvertible delta_tau is reported already; the rules would only
-    # repeat it as missing.
+    # repeat it as missing.  An invalid option skips the maturity check.
     if sd.get("delta_tau") is None or sol["delta_tau"] is not None:
         violations += solver_violations(sol["solver"], time_dependent, sol["delta_tau"],
-                                        maturity)
-    violations += boundary_violations(sol["boundary"], kind)
+                                        option and option.maturity)
+    violations += boundary_violations(sol["boundary"], opt["kind"])
 
-    seed = convert(raw.get("seed", 0), "seed", int, "an integer")
-    # McConfig values take the type of their McConfig default.
-    mc_values = {
-        key: convert(val, f"mc.{key}", type(getattr(McConfig, key)), "an integer")
-        for key, val in mcd.items() if key in KNOWN_KEYS["mc"]
-    }
-    queries = [
-        (convert(q.get("point"), f"queries[{i}].point", _items(float, 4),
-                 "four numbers (s, v, rd, rf)"),
-         optional(q.get("reference"), f"queries[{i}].reference"))
-        for i, q in enumerate(qs)
-    ]
-    if None not in bounds:
-        box = domain_box(*bounds)
+    seed, compute_lambda_max = (typed(raw, "", ExperimentConfig, key,
+                                      getattr(ExperimentConfig, key))
+                                for key in ("seed", "compute_lambda_max"))
+    mc_cfg = build("mc", McConfig, **{"seed": seed, **{
+        key: typed(mcd, "mc", McConfig, key) for key in mcd if key in KNOWN_KEYS["mc"]}}
+    ) if mcd else None
+
+    queries = [QueryPoint(point=convert(q.get("point"), f"queries[{i}].point",
+                                        _items(_strict(float), 4), "four numbers (s, v, rd, rf)"),
+                          reference=typed(q, f"queries[{i}]", QueryPoint, "reference"),
+                          label=q.get("label", "")) for i, q in enumerate(qs)]
+    box = [grid[key] for key in BOX_KEYS]
+    if None not in box:
         violations += [f"queries[{i}].point has {v}"
-                       for i, (point, _) in enumerate(queries) if point is not None
-                       for v in outside(dict(zip(AXES, point)), box)]
+                       for i, q in enumerate(queries) if q.point is not None
+                       for v in outside(dict(zip(AXES, q.point)), domain_box(*box))]
+    focus = (opt["strike"], params["v0"], params["rd0"], params["rf0"])
+    xi = [grid[f"xi_{ax}"] for ax in AXES]
+    if None not in (m, *box, *focus, *xi):
+        violations += size_violations(sol["krylov_dim"], m, sol["method"], box, focus, xi)
 
-    model = option = mc_cfg = None
-    if not violations:
-        try:
-            model = ModelParams(
-                **model_values, theta_d_params=theta_d, theta_f_params=theta_f,
-                correlation=correlation_matrix(*rho),
-            )
-            option = OptionSpec(kind=kind, strike=strike, maturity=maturity)
-            if mcd:
-                mc_cfg = McConfig(**{"seed": seed, **mc_values})
-        except (ModelConfigError, InvalidArgumentError) as err:  # field-specific
-            violations.append(str(err))
     if violations:
         raise ConfigError(violations)
-
     return ExperimentConfig(
-        name=raw.get("name", name),
-        model=model,
-        option=option,
-        m=m,
-        **grid,
-        **sol,
-        queries=[QueryPoint(point=point, reference=ref, label=q.get("label", ""))
-                 for (point, ref), q in zip(queries, qs)],
-        mc=mc_cfg,
-        seed=seed,
-        compute_lambda_max=bool(raw.get("compute_lambda_max", False)),
+        name=raw.get("name", name), model=model, option=option, m=m, **grid, **sol,
+        queries=queries, mc=mc_cfg, seed=seed, compute_lambda_max=compute_lambda_max,
     )
 
 

@@ -2,7 +2,12 @@
 
 
 class FxhhwError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``violations`` lists each
+    broken rule (a type that checks several reports all that fail)."""
+
+    def __init__(self, violations):
+        self.violations = [violations] if isinstance(violations, str) else list(violations)
+        super().__init__("; ".join(self.violations))
 
 
 class InvalidArgumentError(FxhhwError, ValueError):
@@ -56,9 +61,3 @@ class RangeError(FxhhwError, ValueError):
 
 class ConfigError(FxhhwError, ValueError):
     """Invalid experiment configuration; carries every violation at once."""
-
-    def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))

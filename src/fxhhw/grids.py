@@ -46,14 +46,13 @@ class AxisSpec:
     xi: float
 
     def __post_init__(self):
-        if self.m < 4:
-            raise InvalidArgumentError(f"axis needs m >= 4 nodes, got {self.m}")
+        violations = [] if self.m >= 4 else [f"axis needs m >= 4 nodes, got {self.m}"]
         if not self.lower < self.upper:
-            raise InvalidArgumentError(
-                f"axis bounds must increase, got [{self.lower}, {self.upper}]"
-            )
+            violations.append(f"axis bounds must increase, got [{self.lower}, {self.upper}]")
         if not self.xi > 0:
-            raise InvalidArgumentError(f"stretch parameter must be positive, got {self.xi}")
+            violations.append(f"stretch parameter must be positive, got {self.xi}")
+        if violations:
+            raise InvalidArgumentError(violations)
 
 
 def checked_steps(nodes):
@@ -191,14 +190,14 @@ class Grid4D:
         return np.broadcast_to(along, self.shape[::-1]).ravel()
 
 
+# The builder of each axis, in AXES order.
+AXIS_BUILDERS = (build_s_axis, build_v_axis, build_rate_axis, build_rate_axis)
+
+
 def build_grid(s_spec, v_spec, rd_spec, rf_spec) -> Grid4D:
     """Assemble the four axes into a Grid4D."""
-    return Grid4D(
-        s_nodes=build_s_axis(s_spec),
-        v_nodes=build_v_axis(v_spec),
-        rd_nodes=build_rate_axis(rd_spec),
-        rf_nodes=build_rate_axis(rf_spec),
-    )
+    specs = (s_spec, v_spec, rd_spec, rf_spec)
+    return Grid4D(*(build(spec) for build, spec in zip(AXIS_BUILDERS, specs)))
 
 
 def uniform_grid(m, s_max, v_max=10.0, r_min=-1.0, r_max=1.0) -> Grid4D:

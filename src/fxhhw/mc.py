@@ -22,6 +22,9 @@ from .model import ModelParams, OptionSpec
 
 CHOLESKY_SHIFT_TOL = 1e-10
 
+# Paths simulated per batch; even, so an antithetic batch splits in halves.
+BATCH_SIZE = 50_000
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -29,17 +32,14 @@ class McConfig:
     steps_per_year: int = 200
     seed: int = 0
     antithetic: bool = False
-    batch_size: int = 50_000
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise InvalidArgumentError(f"paths must be >= 1, got {self.paths}")
-        if self.steps_per_year < 1:
-            raise InvalidArgumentError(
-                f"steps_per_year must be >= 1, got {self.steps_per_year}"
-            )
+        violations = [f"{name} must be >= 1, got {getattr(self, name)}"
+                      for name in ("paths", "steps_per_year") if not getattr(self, name) >= 1]
         if self.antithetic and self.paths % 2:
-            raise InvalidArgumentError("antithetic sampling needs an even path count")
+            violations.append("antithetic sampling needs an even path count")
+        if violations:
+            raise InvalidArgumentError(violations)
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,11 @@ def _run(model, option, cfg, estimator):
     steps = max(1, int(round(cfg.steps_per_year * option.maturity)))
     dt = option.maturity / steps
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    batch = cfg.batch_size + (cfg.batch_size % 2 if cfg.antithetic else 0)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < cfg.paths:
-        n = min(batch, cfg.paths - done)
+        n = min(BATCH_SIZE, cfg.paths - done)
         samples = _simulate_batch(
             model, option, n, steps, dt, L, rng, cfg.antithetic, estimator
         )

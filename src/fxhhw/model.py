@@ -53,9 +53,14 @@ def validate_correlation(R):
     return R
 
 
+# correlation_matrix's arguments, in order: the pairs above the diagonal.
+CORRELATION_KEYS = ("sv", "sd", "sf", "vd", "vf", "df")
+
+
 def correlation_matrix(rho_sv, rho_sd, rho_sf, rho_vd, rho_vf, rho_df):
-    """Build the 4x4 correlation matrix in (s, v, r_d, r_f) order."""
-    R = np.array(
+    """The 4x4 correlation matrix in (s, v, r_d, r_f) order; ModelParams
+    validates it."""
+    return np.array(
         [
             [1.0, rho_sv, rho_sd, rho_sf],
             [rho_sv, 1.0, rho_vd, rho_vf],
@@ -63,7 +68,6 @@ def correlation_matrix(rho_sv, rho_sd, rho_sf, rho_vd, rho_vf, rho_df):
             [rho_sf, rho_vf, rho_df, 1.0],
         ]
     )
-    return validate_correlation(R)
 
 
 @dataclass(frozen=True)
@@ -86,45 +90,30 @@ class ModelParams:
     correlation: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
-        for name in ("kappa", "gamma", "eta_d", "eta_f"):
-            if not getattr(self, name) > 0:
-                raise ModelConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.vbar < 0:
-            raise ModelConfigError(f"vbar must be nonnegative, got {self.vbar}")
-        if self.v0 < 0:
-            raise ModelConfigError(f"v0 must be nonnegative, got {self.v0}")
-        if self.s0 <= 0:
-            raise ModelConfigError(f"s0 must be positive, got {self.s0}")
+        violations = [f"{name} must be positive, got {getattr(self, name)}"
+                      for name in ("kappa", "gamma", "eta_d", "eta_f", "s0")
+                      if not getattr(self, name) > 0]
+        violations += [f"{name} must be nonnegative, got {getattr(self, name)}"
+                       for name in ("vbar", "v0") if not getattr(self, name) >= 0]
         for name in ("theta_d_params", "theta_f_params"):
             coeffs = tuple(float(x) for x in getattr(self, name))
             if len(coeffs) != 3:
-                raise ModelConfigError(f"{name} needs 3 coefficients")
+                violations.append(f"{name} needs 3 coefficients")
             object.__setattr__(self, name, coeffs)
-        object.__setattr__(self, "correlation", validate_correlation(self.correlation))
+        try:
+            object.__setattr__(self, "correlation", validate_correlation(self.correlation))
+        except ModelConfigError as err:
+            violations += err.violations
+        if violations:
+            raise ModelConfigError(violations)
 
-    @property
-    def rho_sv(self):
-        return float(self.correlation[0, 1])
-
-    @property
-    def rho_sd(self):
-        return float(self.correlation[0, 2])
-
-    @property
-    def rho_sf(self):
-        return float(self.correlation[0, 3])
-
-    @property
-    def rho_vd(self):
-        return float(self.correlation[1, 2])
-
-    @property
-    def rho_vf(self):
-        return float(self.correlation[1, 3])
-
-    @property
-    def rho_df(self):
-        return float(self.correlation[2, 3])
+    # The correlations of the CORRELATION_KEYS pairs.
+    rho_sv = property(lambda self: float(self.correlation[0, 1]))
+    rho_sd = property(lambda self: float(self.correlation[0, 2]))
+    rho_sf = property(lambda self: float(self.correlation[0, 3]))
+    rho_vd = property(lambda self: float(self.correlation[1, 2]))
+    rho_vf = property(lambda self: float(self.correlation[1, 3]))
+    rho_df = property(lambda self: float(self.correlation[2, 3]))
 
     def theta_d(self, tau):
         return mean_reversion_level(self.theta_d_params, tau)
@@ -161,12 +150,12 @@ class OptionSpec:
     maturity: float
 
     def __post_init__(self):
-        if self.kind not in ("call", "put"):
-            raise InvalidArgumentError(f"kind must be 'call' or 'put', got {self.kind!r}")
-        if not self.strike > 0:
-            raise InvalidArgumentError(f"strike must be positive, got {self.strike}")
-        if not self.maturity > 0:
-            raise InvalidArgumentError(f"maturity must be positive, got {self.maturity}")
+        violations = [] if self.kind in ("call", "put") else [
+            f"kind must be 'call' or 'put', got {self.kind!r}"]
+        violations += [f"{name} must be positive, got {getattr(self, name)}"
+                       for name in ("strike", "maturity") if not getattr(self, name) > 0]
+        if violations:
+            raise InvalidArgumentError(violations)
 
     def payoff(self, s):
         """(s-E)+ for a call, (E-s)+ for a put; vectorized over s >= 0."""

@@ -135,6 +135,7 @@ def _axis_weights_linear(nodes, x):
     t = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
     return np.array([i, i + 1]), np.array([1.0 - t, t])
 
+
 def _axis_weights_cubic(nodes, x):
     """Indices and Lagrange weights on the four nodes around x (clamped)."""
     if nodes.size < 4:
@@ -152,6 +153,10 @@ def _axis_weights_cubic(nodes, x):
     return idx, w
 
 
+# Each interpolation method's per-axis (indices, weights) rule.
+INTERPOLATIONS = {"linear": _axis_weights_linear, "cubic": _axis_weights_cubic}
+
+
 def interpolate(field: SolutionField, point, method="linear"):
     """Value at (s, v, r_d, r_f) by tensor-product interpolation.
 
@@ -165,12 +170,9 @@ def interpolate(field: SolutionField, point, method="linear"):
     bad = outside(coords, g.box)
     if bad:
         raise RangeError("query " + "; ".join(bad))
-    if method == "linear":
-        axw = _axis_weights_linear
-    elif method == "cubic":
-        axw = _axis_weights_cubic
-    else:
+    if method not in INTERPOLATIONS:
         raise InvalidArgumentError(f"unknown interpolation method {method!r}")
+    axw = INTERPOLATIONS[method]
 
     # Indices and weights per axis, rf first like the axes of reshape4.
     idx, w = zip(*(axw(g.axis_nodes(ax), coords[ax]) for ax in AXES[::-1]))

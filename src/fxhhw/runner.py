@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import pricing
-from .config import ExperimentConfig
+from .config import ExperimentConfig, size_violations
 from .errors import ConfigError, RangeError
 from .grids import AXES, outside
 from .integrators import KrylovConfig, estimate_lambda_max
@@ -149,9 +149,8 @@ def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentRepo
     return report
 
 
-def _sweep_entry(args):
-    cfg, m = args
-    return _solve_row(cfg.with_m(m))[1]
+def _sweep_row(cfg):
+    return _solve_row(cfg)[1]
 
 
 def parse_ladder(ladder):
@@ -183,26 +182,26 @@ def fill_roc(rows):
         ]
 
 
-def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32),
-          workers=1) -> ExperimentReport:
+def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), workers=1,
+          out_dir=None) -> ExperimentReport:
     """Refine one axis over a doubling ladder and report prices + ROC;
-    ``workers > 1`` solves the rungs in that many processes."""
+    ``workers > 1`` solves the rungs in that many processes.  Every rung is
+    checked against the rules on its sizes before any is solved."""
     ladder = parse_ladder(ladder)
     if axis not in AXES:
         raise ConfigError([f"unknown sweep axis {axis!r}"])
     pos = AXES.index(axis)
-    ms = []
-    for size in ladder:
-        m = list(cfg.m)
-        m[pos] = size
-        ms.append(tuple(m))
+    rungs = [cfg.with_m((*cfg.m[:pos], size, *cfg.m[pos + 1:])) for size in ladder]
+    violations = [f"sweep rung m={rung.m}: {v}" for rung in rungs
+                  for v in size_violations(rung.krylov_dim, *rung.grid_settings())]
+    if violations:
+        raise ConfigError(violations)
 
-    entries = [(cfg, m) for m in ms]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_entry, entries))
+            rows = list(pool.map(_sweep_row, rungs))
     else:
-        rows = [_sweep_entry(e) for e in entries]
+        rows = [_sweep_row(rung) for rung in rungs]
     fill_roc(rows)
     report = ExperimentReport(
         name=f"{cfg.name}-sweep-{axis}",
@@ -215,6 +214,9 @@ def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32),
         report.notes.append(
             f"mean ROC over {len(defined)} defined entries: {np.mean(defined):.3f}"
         )
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        report.write_csv(os.path.join(out_dir, f"{report.name}_results.csv"))
     return report
 
 
@@ -222,15 +224,16 @@ def surface_export(field: SolutionField, slice_spec, path, fixed=None):
     """Write (x, y, V) triples for a 2D slice, e.g. slice_spec='sv'.
 
     ``fixed`` holds the values of the two remaining coordinates (defaults to
-    the first node of each); a value for a slice axis or an unknown axis is
-    a ConfigError.  Queries interpolate multilinearly, so a slice along grid
-    axes at nodal fixed values reproduces stored values exactly.
+    the first node of each); a slice spec that does not name two distinct
+    axes, and a value for a slice axis or an unknown axis, are ConfigErrors.
+    Queries interpolate multilinearly, so a slice along grid axes at nodal
+    fixed values reproduces stored values exactly.
     """
     axis = "|".join(AXES)
     match = re.fullmatch(f"({axis})({axis})", slice_spec)
     if not match or match[1] == match[2]:
-        raise RangeError(f"slice spec must name two distinct axes of {AXES}, "
-                         f"got {slice_spec!r}")
+        raise ConfigError([f"slice spec must name two distinct axes of {AXES}, "
+                           f"got {slice_spec!r}"])
     ax_x, ax_y = parts = match.groups()
     g = field.grid
     fixed = dict(fixed or {})

@@ -171,6 +171,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             from_dict(raw)
 
+    def test_whole_numbers_load_as_integers(self):
+        raw = tiny_config_dict()
+        raw["grid"]["m"] = [8.0, 6, 6, 6]
+        raw["solver"]["krylov_dim"] = 40.0
+        raw["seed"] = 7.0
+        raw["mc"] = {"paths": 100.0}
+        cfg = from_dict(raw)
+        assert cfg.m == (8, 6, 6, 6) and cfg.krylov_dim == 40 and cfg.seed == 7
+        assert cfg.mc == McConfig(paths=100, seed=7)
+        assert all(type(x) is int for x in (*cfg.m, cfg.krylov_dim, cfg.seed, cfg.mc.paths))
+
+    def test_owner_rules_reported_under_their_section(self):
+        raw = tiny_config_dict()
+        raw["model"].update(kappa=-1, gamma=-1)
+        raw["mc"] = {"paths": 0}
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations == [
+            "model.kappa must be positive, got -1.0", "model.gamma must be positive, got -1.0",
+            "mc.paths must be >= 1, got 0",
+        ]
+
     def test_config_hash_stable_and_sensitive(self):
         a = from_dict(tiny_config_dict())
         b = from_dict(tiny_config_dict())
@@ -282,11 +304,9 @@ class TestSurfaceExport:
         assert not (tmp_path / "x.csv").exists()
 
     def test_bad_slice_spec_rejected(self, tiny_field, tmp_path):
-        from fxhhw.errors import RangeError
-
-        with pytest.raises(RangeError):
+        with pytest.raises(ConfigError):
             surface_export(tiny_field, "ss", tmp_path / "x.csv")
-        with pytest.raises(RangeError):
+        with pytest.raises(ConfigError):
             surface_export(tiny_field, "sq", tmp_path / "x.csv")
 
 
@@ -366,8 +386,8 @@ class TestCli:
         assert not (tmp_path / "slice.csv").exists()
 
     @pytest.mark.parametrize("entry, key, value, message", [
-        ("option", "strike", "abc", "option.strike must be a positive number, got 'abc'"),
-        ("model", "kappa", "abc", "model.kappa must be a positive number, got 'abc'"),
+        ("option", "strike", "abc", "option.strike must be a number, got 'abc'"),
+        ("model", "kappa", "abc", "model.kappa must be a number, got 'abc'"),
         ("grid", "m", 5, "grid.m must be four sizes >= 4, got 5"),
         ("grid", "m", [8, "x", 6, 6], "grid.m must be four sizes >= 4, got [8, 'x', 6, 6]"),
         ("grid", "s_max", "big", "grid.s_max must be a number, got 'big'"),
@@ -404,6 +424,81 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("entry, key, value, message", [
+        ("grid", "xi_s", 0,
+         "grid, s axis (grid.m[0] = 8): stretch parameter must be positive, got 0.0"),
+        ("grid", "s_max", 50,
+         "grid, s axis (grid.m[0] = 8): spot axis needs 0 = lower < strike < s_max, "
+         "got [0.0, 50.0] with focus 100.0"),
+        ("grid", "v_max", 0.01,
+         "grid, v axis (grid.m[1] = 6): variance axis needs 0 <= v0 < v_max, "
+         "got focus 0.04, bounds [0.0, 0.01]"),
+        ("grid", "r_max", 0.05,
+         "grid, rd axis (grid.m[2] = 6): rate axis needs r_min < r0 < r_max, got focus 0.1\n"
+         "config error: grid, rf axis (grid.m[3] = 6): rate axis needs r_min < r0 < r_max, "
+         "got focus 0.1"),
+        ("grid", "m", [8.9, 6, 6, 6], "grid.m must be four sizes >= 4, got [8.9, 6, 6, 6]"),
+        ("", "seed", 3.5, "seed must be an integer, got 3.5"),
+        ("mc", "paths", 100.7, "mc.paths must be an integer, got 100.7"),
+        ("mc", "steps_per_year", True, "mc.steps_per_year must be an integer, got True"),
+        ("mc", "antithetic", "false",
+         "mc.antithetic must be a boolean (true or false), got 'false'"),
+        ("", "compute_lambda_max", "no",
+         "compute_lambda_max must be a boolean (true or false), got 'no'"),
+    ], ids=["xi_s", "s_max", "v_max", "r_max", "m-fraction", "seed", "mc-paths",
+            "mc-steps-bool", "mc-antithetic-str", "lambda-max-str"])
+    def test_load_time_rule_exit_two(self, tmp_path, capsys, monkeypatch, entry, key, value,
+                                     message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an invalid config reached the solver")
+
+        monkeypatch.setattr(pricing, "price", no_solve)
+        raw = tiny_config_dict()
+        if entry == "":
+            raw[key] = value
+        elif entry == "mc":
+            raw["mc"] = {key: value}
+        else:
+            raw[entry][key] = value
+        if key in ("s_max", "v_max", "r_max"):
+            raw["queries"] = []  # they would lie outside the box as well
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_export_bad_slice_spec_exit_two(self, tiny_field, tmp_path, capsys):
+        tiny_field.save(tmp_path / "f.npz")
+        code = cli.main(["export", str(tmp_path / "f.npz"), "--slice", "sq",
+                         "--out", str(tmp_path / "slice.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: slice spec must name two distinct axes of "
+            "('s', 'v', 'rd', 'rf'), got 'sq'\n")
+        assert not (tmp_path / "slice.csv").exists()
+
+    def test_sweep_checks_every_rung_before_solving(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a rung was solved before every rung was checked")
+
+        monkeypatch.setattr(pricing, "price", no_solve)
+        raw = tiny_config_dict()
+        raw["solver"]["krylov_dim"] = 40000
+        cfg_path = tmp_path / "tiny.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        code = cli.main(["sweep", str(cfg_path), "--ladder", "8,16,32"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        # N = 16*6*6*6 = 3456 and 32*6*6*6 = 6912; the m1 = 8 rung fits.
+        assert err == [
+            "config error: sweep rung m=(16, 6, 6, 6): solver.krylov_dim: a Krylov basis "
+            "of dimension 40000 for N=3456 needs 1055 MiB, above the 1024 MiB budget; "
+            "lower dim",
+            "config error: sweep rung m=(32, 6, 6, 6): solver.krylov_dim: a Krylov basis "
+            "of dimension 40000 for N=6912 needs 2109 MiB, above the 1024 MiB budget; "
+            "lower dim",
+        ]
 
     @pytest.mark.parametrize("ladder", ["8,x", "8,16", "8,12,16"])
     def test_sweep_bad_ladder_exit_two(self, tmp_path, capsys, ladder):
@@ -470,6 +565,10 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "sweep" in out
+        written = tmp_path / "sw" / "tiny-sweep-s_results.csv"
+        report = sweep(from_yaml(cfg_path), axis="s", ladder=(8, 16, 32))
+        report.write_csv(tmp_path / "again.csv")
+        assert written.read_bytes() == (tmp_path / "again.csv").read_bytes()
 
 
 class TestRunnerDiagnostics:

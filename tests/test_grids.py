@@ -62,6 +62,15 @@ class TestSpotAxis:
             build_s_axis(AxisSpec(8, 1.0, 1400.0, 100.0, 0.1))
 
 
+    def test_spec_rules_reported_in_one_raise(self):
+        with pytest.raises(InvalidArgumentError) as err:
+            AxisSpec(3, 1.0, 1.0, 1.0, 0.0)
+        assert err.value.violations == [
+            "axis needs m >= 4 nodes, got 3", "axis bounds must increase, got [1.0, 1.0]",
+            "stretch parameter must be positive, got 0.0",
+        ]
+
+
 class TestVarianceAxis:
     def test_endpoints_exact(self):
         v = build_v_axis(v_spec(6))

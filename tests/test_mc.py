@@ -39,6 +39,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgumentError):
             McConfig(paths=101, antithetic=True)
 
+    def test_every_failing_rule_reported_in_one_raise(self):
+        with pytest.raises(InvalidArgumentError) as err:
+            McConfig(paths=-1, steps_per_year=0, antithetic=True)
+        assert err.value.violations == [
+            "paths must be >= 1, got -1", "steps_per_year must be >= 1, got 0",
+            "antithetic sampling needs an even path count",
+        ]
+
 
 class TestDeterministicLimit:
     def test_price_matches_closed_form(self):

@@ -162,6 +162,25 @@ class TestModelValidation:
         with pytest.raises(ModelConfigError):
             ModelParams(**{**m.__dict__, "vbar": -0.1})
 
+    def test_every_failing_rule_reported_in_one_raise(self):
+        m = experiment1_model()
+        with pytest.raises(ModelConfigError) as err:
+            ModelParams(**{**m.__dict__, "kappa": -1.0, "gamma": 0.0, "v0": float("nan"),
+                           "s0": 0.0, "theta_f_params": (0.05, 0.0)})
+        assert err.value.violations == [
+            "kappa must be positive, got -1.0", "gamma must be positive, got 0.0",
+            "s0 must be positive, got 0.0", "v0 must be nonnegative, got nan",
+            "theta_f_params needs 3 coefficients",
+        ]
+
+    def test_option_rules_reported_in_one_raise(self):
+        with pytest.raises(InvalidArgumentError) as err:
+            OptionSpec("swap", -1.0, 0.0)
+        assert err.value.violations == [
+            "kind must be 'call' or 'put', got 'swap'", "strike must be positive, got -1.0",
+            "maturity must be positive, got 0.0",
+        ]
+
     def test_rho_accessors(self, par1):
         assert par1.rho_sv == -0.4
         assert par1.rho_sd == -0.15
