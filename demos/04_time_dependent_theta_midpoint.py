@@ -36,10 +36,10 @@ point, ref = (100.0, 0.04, 0.024, 0.024), 3.999
 
 print("levels along backward time:")
 for tau in (0.0, 0.125, 0.25, 1.0):
-    print(f"  tau={tau:5.3f}: theta_d={model.theta_d(tau):.5f}  "
-          f"theta_f={model.theta_f(tau):.5f}")
-td, tf = model.theta_constant_approx()
-print(f"constant approximation: theta_d*={td:.5f}  theta_f*={tf:.5f}")
+    td, tf = model.levels(tau)
+    print(f"  tau={tau:5.3f}: theta_d={td:.5f}  theta_f={tf:.5f}")
+td, tf = model.levels(1.0)
+print(f"constant approximation (tau = 1): theta_d*={td:.5f}  theta_f*={tf:.5f}")
 
 grid = build_grid(
     AxisSpec(20, 0.0, 1400.0, 100.0, 0.1),

@@ -15,7 +15,7 @@ from .grids import (AXES, AXIS_BUILDERS, AxisSpec, Grid4D, build_grid, domain_bo
 from .integrators import krylov_dim_violations
 from .mc import McConfig
 from .model import CORRELATION_KEYS, ModelParams, OptionSpec, correlation_matrix
-from .operators import THETA_MODES, boundary_violations, time_dependent_operator
+from .operators import boundary_violations, theta_mode_violations, time_dependent_operator
 from .pricing import INTERPOLATIONS, solver_violations
 
 METHODS = ("pm", "fdkm")
@@ -251,8 +251,7 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
             for key in GRID_KEYS[1:]}
     sol = {key: typed(sd, "solver", ExperimentConfig, key, getattr(ExperimentConfig, key))
            for key in SOLVER_KEYS}
-    if sol["theta_mode"] not in THETA_MODES:
-        violations.append(f"theta_mode must be one of {THETA_MODES}")
+    violations += theta_mode_violations(sol["theta_mode"])
     if sol["method"] not in METHODS:
         violations.append(f"method must be one of {METHODS}, got {sol['method']!r}")
     if sol["interpolation"] not in tuple(INTERPOLATIONS):

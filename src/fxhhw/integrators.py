@@ -44,6 +44,18 @@ def krylov_dim_violations(dim, n=None):
     return []
 
 
+def midpoint_step_violations(delta_tau, horizon=None):
+    """Every violation of the midpoint step rule; [] when ``delta_tau`` is
+    positive and divides ``horizon`` (None skips the divides check)."""
+    if delta_tau is None or not delta_tau > 0:
+        return [f"delta_tau must be positive, got {delta_tau}"]
+    if horizon is not None:
+        steps = int(round(horizon / delta_tau))
+        if steps < 1 or abs(steps * delta_tau - horizon) > 1e-9 * max(1.0, horizon):
+            return [f"delta_tau {delta_tau} does not divide the horizon {horizon}"]
+    return []
+
+
 @dataclass
 class KrylovConfig:
     """Arnoldi settings: subspace cap and residual tolerance.
@@ -172,18 +184,18 @@ class MidpointConfig:
     steps: int
 
     def __post_init__(self):
-        if not self.delta_tau > 0:
-            raise InvalidArgumentError(f"delta_tau must be positive, got {self.delta_tau}")
+        violations = midpoint_step_violations(self.delta_tau)
+        if violations:
+            raise InvalidArgumentError(violations)
         if self.steps < 1:
             raise InvalidArgumentError(f"steps must be >= 1, got {self.steps}")
 
     @classmethod
     def from_horizon(cls, horizon, delta_tau):
+        violations = midpoint_step_violations(delta_tau, horizon)
+        if violations:
+            raise InvalidArgumentError(violations)
         steps = int(round(horizon / delta_tau))
-        if steps < 1 or abs(steps * delta_tau - horizon) > 1e-9 * max(1.0, horizon):
-            raise InvalidArgumentError(
-                f"delta_tau {delta_tau} does not divide the horizon {horizon}"
-            )
         return cls(delta_tau=horizon / steps, steps=steps)
 
     @property

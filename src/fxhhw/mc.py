@@ -84,8 +84,7 @@ def _simulate_batch(model, option, n, steps, dt, L, rng, antithetic, estimator):
         sq = np.sqrt(vp)
         disc += 0.5 * dt * rd
         # backward-time levels evaluated at tau = T - t
-        th_d = float(model.theta_d(T - t))
-        th_f = float(model.theta_f(T - t))
+        th_d, th_f = map(float, model.levels(T - t))
         x = x + (rd - rf - 0.5 * vp) * dt + sq * dw[0]
         v = v + model.kappa * (model.vbar - vp) * dt + model.gamma * sq * dw[1]
         rd = rd + model.lambda_d * (th_d - rd) * dt + model.eta_d * dw[2]

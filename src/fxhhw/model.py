@@ -8,30 +8,12 @@ correction -eta_f*rho_sf*sqrt(v).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ModelConfigError
 
 PSD_TOL = 1e-10
-
-
-def mean_reversion_level(coeffs, tau):
-    """Time-dependent mean-reversion level a1 - a2*exp(-a3*tau)."""
-    a1, a2, a3 = coeffs
-    return a1 - a2 * np.exp(-a3 * np.asarray(tau, dtype=float))
-
-
-def levels_time_dependent(theta_d_params, theta_f_params):
-    """True when either level a1 - a2*exp(-a3*tau) actually varies with tau."""
-    return any(c[1] != 0.0 and c[2] != 0.0 for c in (theta_d_params, theta_f_params))
-
-
-def constant_level_approx(coeffs):
-    """Constant approximation: the level evaluated at tau = 1."""
-    a1, a2, a3 = coeffs
-    return a1 - a2 * exp(-a3)
 
 
 def validate_correlation(R):
@@ -115,18 +97,12 @@ class ModelParams:
     rho_vf = property(lambda self: float(self.correlation[1, 3]))
     rho_df = property(lambda self: float(self.correlation[2, 3]))
 
-    def theta_d(self, tau):
-        return mean_reversion_level(self.theta_d_params, tau)
-
-    def theta_f(self, tau):
-        return mean_reversion_level(self.theta_f_params, tau)
-
-    def theta_constant_approx(self):
-        """(theta_d*, theta_f*): constant levels from evaluation at tau = 1."""
-        return (
-            constant_level_approx(self.theta_d_params),
-            constant_level_approx(self.theta_f_params),
-        )
+    def levels(self, tau):
+        """(theta_d(tau), theta_f(tau)), each level a1 - a2*exp(-a3*tau) of its
+        coefficients; ``tau`` may be an array."""
+        tau = np.asarray(tau, dtype=float)
+        return tuple(a1 - a2 * np.exp(-a3 * tau)
+                     for a1, a2, a3 in (self.theta_d_params, self.theta_f_params))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ times one Kronecker product of four small per-axis factors, diag(coef) @ D,
 diag(coef), D or the identity, in the natural ordering of ``grids``.
 
 The operator splits as A(tau) = A0 + theta_d(tau)*Bd + theta_f(tau)*Bf so
-time stepping does not reassemble anything; when both mean-reversion levels
-are constant the theta parts are folded into the base matrix.
+time stepping does not reassemble anything; unless it is time dependent, the
+levels at tau = 1 are folded into the base matrix.
 """
 
 from __future__ import annotations
@@ -26,17 +26,24 @@ import scipy.sparse as sp
 from . import stencils
 from .errors import AssemblyError, ConfigError, InvalidArgumentError
 from .grids import AXES, Grid4D, checked_steps
-from .model import ModelParams, OptionSpec, levels_time_dependent
+from .model import ModelParams, OptionSpec
 from .stencils import ShapeParameterWarning
 
 BOUNDARY_MODES = ("dirichlet", "neumann_flux", "abc")
 THETA_MODES = ("time_dependent", "constant_approx")
 
 
+def theta_mode_violations(mode):
+    """[] when ``mode`` is one of ``THETA_MODES``, else its one violation."""
+    return [] if mode in THETA_MODES else [
+        f"theta_mode must be one of {THETA_MODES}, got {mode!r}"]
+
+
 def time_dependent_operator(theta_mode, theta_d_params, theta_f_params):
-    """True when A(tau) keeps its theta parts: the levels vary and are not folded."""
-    return theta_mode == "time_dependent" and levels_time_dependent(
-        theta_d_params, theta_f_params
+    """True when A(tau) keeps its theta parts: the mode is ``time_dependent``
+    and a level a1 - a2*exp(-a3*tau) varies (a2 and a3 nonzero)."""
+    return theta_mode == "time_dependent" and any(
+        a2 != 0.0 and a3 != 0.0 for _, a2, a3 in (theta_d_params, theta_f_params)
     )
 
 
@@ -207,13 +214,13 @@ def face_masks(grid: Grid4D):
 class AssembledOperator:
     """The N x N spatial operator, split into theta-independent and theta parts.
 
-    ``d1`` and ``d2`` hold the per-axis 1D first- and second-derivative
-    matrices the operator was assembled from (no boundary rows).
+    ``theta_parts`` is (Bd, Bf), or None once the levels are folded into
+    ``base``.  ``d1`` and ``d2`` hold the per-axis 1D first- and second-
+    derivative matrices the operator was assembled from (no boundary rows).
     """
 
     base: sp.csr_matrix
-    theta_d_part: sp.csr_matrix | None
-    theta_f_part: sp.csr_matrix | None
+    theta_parts: tuple[sp.csr_matrix, sp.csr_matrix] | None
     grid: Grid4D
     params: ModelParams
     d1: dict[str, sp.csr_matrix]
@@ -226,28 +233,26 @@ class AssembledOperator:
 
     @property
     def is_time_dependent(self):
-        return self.theta_d_part is not None or self.theta_f_part is not None
+        return self.theta_parts is not None
 
     def matrix(self, tau=0.0):
         """A(tau) as a CSR matrix."""
         A = self.base
-        if self.theta_d_part is not None:
-            A = A + float(self.params.theta_d(tau)) * self.theta_d_part
-        if self.theta_f_part is not None:
-            A = A + float(self.params.theta_f(tau)) * self.theta_f_part
-        return A.tocsr() if not sp.isspmatrix_csr(A) else A
+        if self.theta_parts is not None:
+            (th_d, th_f), (Bd, Bf) = self.params.levels(tau), self.theta_parts
+            A = A + float(th_d) * Bd + float(th_f) * Bf
+        return A.tocsr()
 
     def matvec(self, x, tau=0.0):
         y = self.base @ x
-        if self.theta_d_part is not None:
-            y = y + float(self.params.theta_d(tau)) * (self.theta_d_part @ x)
-        if self.theta_f_part is not None:
-            y = y + float(self.params.theta_f(tau)) * (self.theta_f_part @ x)
+        if self.theta_parts is not None:
+            (th_d, th_f), (Bd, Bf) = self.params.levels(tau), self.theta_parts
+            y = y + float(th_d) * (Bd @ x) + float(th_f) * (Bf @ x)
         return y
 
-    def free_matrix(self, tau=0.0):
-        """Restriction of A(tau) to non-pinned rows/columns (dynamics block)."""
-        A = self.matrix(tau)
+    def free_matrix(self):
+        """Restriction of A(0) to non-pinned rows/columns (dynamics block)."""
+        A = self.matrix()
         if self.pinned is None or not self.pinned.any():
             return A
         free = np.flatnonzero(~self.pinned)
@@ -255,11 +260,7 @@ class AssembledOperator:
 
     @property
     def nnz(self):
-        n = self.base.nnz
-        for part in (self.theta_d_part, self.theta_f_part):
-            if part is not None:
-                n += part.nnz
-        return n
+        return self.base.nnz + sum(B.nnz for B in self.theta_parts or ())
 
 
 def assemble_operator(
@@ -273,43 +274,30 @@ def assemble_operator(
     Shape parameters follow the per-axis rule tied to the largest increment;
     ``fd_limit=True`` uses classical FD weights everywhere (uniform-grid
     baseline scheme).  ``theta_mode`` is ``"time_dependent"`` or
-    ``"constant_approx"`` (constant levels from the tau=1 evaluation).
+    ``"constant_approx"``; unless :func:`time_dependent_operator` holds, the
+    levels at tau = 1 (constant levels take that value at every tau) are
+    folded into the base.
     """
-    if theta_mode not in THETA_MODES:
-        raise InvalidArgumentError(f"unknown theta_mode {theta_mode!r}")
+    violations = theta_mode_violations(theta_mode)
+    if violations:
+        raise InvalidArgumentError(violations)
     if grid.v_nodes[0] < 0:
         raise InvalidArgumentError("variance axis contains negative nodes")
     c_of = dict.fromkeys(AXES) if fd_limit else stencils.shape_parameters(grid)
 
     D1 = {ax: first_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
     D2 = {ax: second_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
-    base, theta_d_part, theta_f_part = (
+    base, Bd, Bf = (
         functools.reduce(operator.add, (_kron_term(a, f, grid) for a, f in rows))
         for rows in _term_table(grid, params, D1, D2).values()
     )
-
-    if not time_dependent_operator(
-        theta_mode, params.theta_d_params, params.theta_f_params
-    ):
-        if theta_mode == "constant_approx":
-            th_d, th_f = params.theta_constant_approx()
-        else:
-            th_d, th_f = float(params.theta_d(0.0)), float(params.theta_f(0.0))
-        base = base + th_d * theta_d_part + th_f * theta_f_part
-        theta_d_part = theta_f_part = None
-
-    if not np.all(np.isfinite(base.data)):
+    op = AssembledOperator(base=base, theta_parts=(Bd, Bf), grid=grid, params=params,
+                           d1=D1, d2=D2)
+    if not time_dependent_operator(theta_mode, params.theta_d_params, params.theta_f_params):
+        op = dataclasses.replace(op, base=op.matrix(1.0), theta_parts=None)
+    if not np.all(np.isfinite(op.base.data)):
         raise AssemblyError("assembled operator contains non-finite entries")
-
-    return AssembledOperator(
-        base=base,
-        theta_d_part=theta_d_part,
-        theta_f_part=theta_f_part,
-        grid=grid,
-        params=params,
-        d1=D1,
-        d2=D2,
-    )
+    return op
 
 
 def _zero_rows(A, mask):
@@ -348,7 +336,7 @@ def impose_boundaries(
         raise ConfigError(violations)
 
     masks = face_masks(op.grid)
-    base, bd, bf = op.base, op.theta_d_part, op.theta_f_part
+    base, parts = op.base, op.theta_parts
     pinned = np.zeros(op.n, dtype=bool)
     if mode == "dirichlet":
         pinned = np.logical_or.reduce(
@@ -365,9 +353,7 @@ def impose_boundaries(
             rows = masks[face] & ~taken
             base = _replace_rows(base, rows, d2[face.split("_")[0]])
             taken |= rows
-    if mode != "abc":
-        bd, bf = (None if A is None else _zero_rows(A, taken) for A in (bd, bf))
+    if mode != "abc" and parts is not None:
+        parts = tuple(_zero_rows(B, taken) for B in parts)
 
-    return dataclasses.replace(
-        op, base=base, theta_d_part=bd, theta_f_part=bf, pinned=pinned
-    )
+    return dataclasses.replace(op, base=base, theta_parts=parts, pinned=pinned)

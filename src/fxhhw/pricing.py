@@ -17,6 +17,7 @@ from .integrators import (
     KrylovConfig,
     MidpointConfig,
     krylov_expm_action,
+    midpoint_step_violations,
     modified_midpoint_solve,
 )
 from .model import ModelParams, OptionSpec, feller_check
@@ -36,9 +37,10 @@ def solver_violations(solver, time_dependent, delta_tau, maturity):
     """Every violation of the solver rules; [] when the request is valid.
 
     The name must be one of ``SOLVERS``; krylov needs a time-independent
-    operator; midpoint, named or resolved from ``auto``, needs a positive
-    ``delta_tau`` that divides the maturity (``maturity=None``, an invalid
-    maturity already reported, skips that last check).
+    operator; midpoint, named or resolved from ``auto``, must keep the step
+    rule :func:`~fxhhw.integrators.midpoint_step_violations` with the maturity
+    as horizon (``maturity=None``, an invalid maturity already reported, skips
+    the divides check).
     """
     if solver not in SOLVERS:
         return [f"solver must be one of {SOLVERS}, got {solver!r}"]
@@ -48,14 +50,7 @@ def solver_violations(solver, time_dependent, delta_tau, maturity):
                 "use theta_mode 'constant_approx' or solver 'midpoint'"]
     if solver != "midpoint":
         return []
-    if delta_tau is None or not delta_tau > 0:
-        return [f"solver.delta_tau must be positive for the midpoint solver, got {delta_tau}"]
-    if maturity is not None:
-        try:
-            MidpointConfig.from_horizon(maturity, delta_tau)
-        except InvalidArgumentError:
-            return [f"solver.delta_tau {delta_tau} does not divide the maturity {maturity}"]
-    return []
+    return [f"solver.{v}" for v in midpoint_step_violations(delta_tau, maturity)]
 
 
 try:
@@ -199,16 +194,19 @@ def price(
     ``solver='auto'`` picks the Krylov exponential when the operator is
     time-independent and the midpoint stepper otherwise.  The solver and
     boundary rules (:func:`solver_violations`,
-    :func:`operators.boundary_violations`) are checked before anything is
+    :func:`operators.boundary_violations`) and the ``theta_mode`` name
+    (:func:`operators.theta_mode_violations`) are checked before anything is
     assembled.  The initial condition is the raw (unsmoothed) payoff.  The
     returned field carries the operator it solved.
     """
     time_dependent = operators.time_dependent_operator(
         theta_mode, model.theta_d_params, model.theta_f_params
     )
-    violations = solver_violations(
-        solver, time_dependent, delta_tau, option.maturity
-    ) + operators.boundary_violations(boundary, option.kind)
+    violations = (
+        solver_violations(solver, time_dependent, delta_tau, option.maturity)
+        + operators.boundary_violations(boundary, option.kind)
+        + operators.theta_mode_violations(theta_mode)
+    )
     if violations:
         raise ConfigError(violations)
     solver = _resolve_solver(solver, time_dependent)

@@ -152,6 +152,13 @@ class TestConfigParsing:
         raw["solver"]["delta_tau"] = 0.25
         assert from_dict(raw).delta_tau == 0.25
 
+    def test_theta_mode_reported_by_its_owner(self):
+        raw = tiny_config_dict()
+        raw["solver"]["theta_mode"] = "bogus"
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations == operators.theta_mode_violations("bogus")
+
     @pytest.mark.parametrize("axis, value, box", [
         ("s", -1.0, "[0.0, 1400.0]"), ("s", 1500.0, "[0.0, 1400.0]"),
         ("v", -0.01, "[0.0, 10.0]"), ("v", 11.0, "[0.0, 10.0]"),

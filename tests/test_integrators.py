@@ -195,6 +195,15 @@ class TestMidpointConfig:
         with pytest.raises(InvalidArgumentError):
             MidpointConfig.from_horizon(1.0, 0.2999)
 
+    @pytest.mark.parametrize("delta_tau", [0.2999, 2.0, 0.0, -0.25, None])
+    def test_from_horizon_raises_the_step_rule(self, delta_tau):
+        with pytest.raises(InvalidArgumentError) as err:
+            MidpointConfig.from_horizon(1.0, delta_tau)
+        assert err.value.violations == integrators.midpoint_step_violations(delta_tau, 1.0)
+        # Without a horizon only the sign is checked.
+        positive = delta_tau is not None and delta_tau > 0
+        assert (integrators.midpoint_step_violations(delta_tau) == []) == positive
+
 
 class TestModifiedMidpoint:
     def test_single_step_zero_matrix(self, rng):

@@ -11,45 +11,50 @@ from fxhhw.model import (
     OptionSpec,
     correlation_matrix,
     feller_check,
-    levels_time_dependent,
     validate_correlation,
 )
+from fxhhw.operators import time_dependent_operator
 from conftest import experiment1_model
 
 
 class TestThetaLevels:
     def test_experiment1_levels_constant(self, par1):
         for tau in (0.0, 0.5, 1.0, 7.3):
-            assert par1.theta_d(tau) == pytest.approx(0.05, rel=1e-15)
-            assert par1.theta_f(tau) == pytest.approx(0.05, rel=1e-15)
-        assert not levels_time_dependent(par1.theta_d_params, par1.theta_f_params)
+            th_d, th_f = par1.levels(tau)
+            assert th_d == pytest.approx(0.05, rel=1e-15)
+            assert th_f == pytest.approx(0.05, rel=1e-15)
+        assert not time_dependent_operator(
+            "time_dependent", par1.theta_d_params, par1.theta_f_params)
 
     def test_experiment3_level_at_zero(self, par3):
-        assert par3.theta_d(0.0) == pytest.approx(0.074 - 0.014, rel=1e-14)
-        assert par3.theta_f(0.0) == pytest.approx(0.5, rel=1e-14)
-        assert levels_time_dependent(par3.theta_d_params, par3.theta_f_params)
+        th_d, th_f = par3.levels(0.0)
+        assert th_d == pytest.approx(0.074 - 0.014, rel=1e-14)
+        assert th_f == pytest.approx(0.5, rel=1e-14)
+        assert time_dependent_operator(
+            "time_dependent", par3.theta_d_params, par3.theta_f_params)
 
     def test_zero_amplitude_ignores_decay_rate(self):
         m = experiment1_model()
         p = ModelParams(**{**m.__dict__, "theta_d_params": (0.07, 0.0, 3.0)})
         for tau in (0.0, 2.0):
-            assert p.theta_d(tau) == pytest.approx(0.07)
-        assert not levels_time_dependent(p.theta_d_params, p.theta_f_params)
+            assert p.levels(tau)[0] == pytest.approx(0.07)
+        assert not time_dependent_operator(
+            "time_dependent", p.theta_d_params, p.theta_f_params)
 
     def test_constant_approx_experiment3(self, par3):
-        th_d, th_f = par3.theta_constant_approx()
+        th_d, th_f = par3.levels(1.0)
         assert th_d == pytest.approx(0.074 - 0.014 * math.exp(-2.10), rel=1e-12)
         assert th_d == pytest.approx(0.07229, abs=5e-6)
         assert th_f == pytest.approx(1.0 - 0.5 * math.exp(-0.5), rel=1e-12)
         assert th_f == pytest.approx(0.69674, abs=1e-5)
 
     def test_constant_approx_zero_amplitude(self, par1):
-        th_d, th_f = par1.theta_constant_approx()
+        th_d, th_f = par1.levels(1.0)
         assert th_d == 0.05 and th_f == 0.05
 
     def test_monotone_when_amplitude_positive(self, par3):
         taus = np.linspace(0.0, 3.0, 50)
-        vals = par3.theta_d(taus)
+        vals = par3.levels(taus)[0]
         assert np.all(np.diff(vals) > 0)
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fxhhw import operators
 from fxhhw.errors import ConfigError, InvalidArgumentError
 from fxhhw.grids import Grid4D
 from fxhhw.integrators import estimate_lambda_max
@@ -63,7 +62,8 @@ def _pde_terms(g, p, tau):
     rd = g.rd_nodes[None, :, None, None]
     rf = g.rf_nodes[:, None, None, None]
     sqv = np.sqrt(v)
-    th_d, th_f = float(p.theta_d(tau)), float(p.theta_f(tau))
+    th_d, th_f = (a1 - a2 * np.exp(-a3 * tau)
+                  for a1, a2, a3 in (p.theta_d_params, p.theta_f_params))
     return [
         (0.5 * s**2 * v, (2, 0, 0, 0)),
         (0.5 * p.gamma**2 * v, (0, 2, 0, 0)),
@@ -404,6 +404,15 @@ class TestAssembledOperator:
         A2 = op.matrix(0.9)
         assert (A1 != A2).nnz == 0
 
+    def test_constant_levels_fold_alike_in_both_modes(self, par1):
+        # Constant levels take their tau = 1 value at every tau, so both
+        # theta modes fold them into the same base, bit for bit.
+        g = small_grid()
+        td, ca = (assemble_operator(g, par1, theta_mode=mode).base
+                  for mode in ("time_dependent", "constant_approx"))
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(td, part), getattr(ca, part))
+
     def test_time_dependent_thetas_vary(self, par3):
         g = small_grid()
         op = assemble_operator(g, par3, theta_mode="time_dependent")
@@ -499,6 +508,25 @@ class TestImposeBoundaries:
         op = impose_boundaries(op0, "abc", put_2y)
         assert not op.pinned.any()
         assert (op.matrix(0.0) != op0.matrix(0.0)).nnz == 0
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "neumann_flux", "abc"])
+    def test_theta_parts_follow_the_boundary_rows(self, par3, mode):
+        # Every outer face but v=0 is pinned (dirichlet) or pinned/replaced
+        # (neumann_flux): A(tau) there is the boundary row alone at every tau.
+        # abc keeps the PDE rows, theta entries included.
+        g = small_grid()
+        op0 = assemble_operator(g, par3)
+        op = impose_boundaries(op0, mode, OptionSpec("call", 100.0, 0.25))
+        assert op.is_time_dependent
+        rows = np.logical_or.reduce([m for f, m in face_masks(g).items() if f != "v_lo"])
+        for tau in (0.0, 0.1, 0.25):
+            theta_rows = (op.matrix(tau) - op.base).tocsr()[rows]
+            if mode == "abc":
+                want = (op0.matrix(tau) - op0.base).tocsr()[rows]
+                assert want.count_nonzero() > 0
+                assert (theta_rows != want).nnz == 0
+            else:
+                assert theta_rows.count_nonzero() == 0
 
     def test_put_with_pinning_mode_rejected(self, par1, put_2y):
         g = small_grid()

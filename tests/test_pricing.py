@@ -160,6 +160,13 @@ class TestPriceSolutionBasics:
             price(par1, OptionSpec(kind, 100.0, 1.0), g, boundary=boundary)
         assert err.value.violations == operators.boundary_violations(boundary, kind)
 
+    def test_theta_mode_refused_before_assembly(self, par1, monkeypatch):
+        monkeypatch.setattr(operators, "assemble_operator", self._no_assembly)
+        g = experiment_grid((6, 5, 4, 4))
+        with pytest.raises(ConfigError) as err:
+            price(par1, OptionSpec("call", 100.0, 1.0), g, theta_mode="bogus")
+        assert err.value.violations == operators.theta_mode_violations("bogus")
+
     @staticmethod
     def _no_assembly(*args, **kwargs):
         raise AssertionError("assembled before the request was checked")
