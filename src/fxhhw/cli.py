@@ -27,7 +27,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     report = runner.sweep(_load_config(args.config), axis=args.axis, ladder=args.ladder,
-                          workers=args.workers, out_dir=args.out)
+                          out_dir=args.out)
     sys.stdout.write(report.to_text())
     return 0
 
@@ -57,13 +57,6 @@ def _cmd_export(args):
     return 0
 
 
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    if not (text.isdigit() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="fxhhw",
@@ -82,8 +75,6 @@ def build_parser():
     ps.add_argument("config")
     ps.add_argument("--axis", default="s", choices=AXES)
     ps.add_argument("--ladder", default="8,16,32")
-    ps.add_argument("--workers", type=_positive_int, default=1,
-                    help="parallel runs (default 1)")
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=_cmd_sweep)
 

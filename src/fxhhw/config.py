@@ -16,7 +16,7 @@ from .integrators import krylov_dim_violations
 from .mc import McConfig
 from .model import CORRELATION_KEYS, ModelParams, OptionSpec, correlation_matrix
 from .operators import boundary_violations, theta_mode_violations, time_dependent_operator
-from .pricing import INTERPOLATIONS, solver_violations
+from .pricing import interpolation_violations, solver_violations
 
 METHODS = ("pm", "fdkm")
 
@@ -254,8 +254,7 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     violations += theta_mode_violations(sol["theta_mode"])
     if sol["method"] not in METHODS:
         violations.append(f"method must be one of {METHODS}, got {sol['method']!r}")
-    if sol["interpolation"] not in tuple(INTERPOLATIONS):
-        violations.append(f"interpolation must be one of {tuple(INTERPOLATIONS)}")
+    violations += interpolation_violations(sol["interpolation"])
     time_dependent = None not in (theta_d, theta_f) and time_dependent_operator(
         sol["theta_mode"], theta_d, theta_f)
     # An unconvertible delta_tau is reported already; the rules would only

@@ -141,7 +141,7 @@ def _arnoldi_expm(A, v0, dim, scale, btol, cfg):
     V[0] = v0 / beta
     used = dim
     residual = np.inf
-    happy = False
+    expH = None
     for j in range(dim):
         w = A @ V[j]
         Q = V[: j + 1]
@@ -153,9 +153,7 @@ def _arnoldi_expm(A, v0, dim, scale, btol, cfg):
         HT[j, : j + 1] = h + corr
         HT[j, j + 1] = hnext
         if hnext <= btol:
-            used = j + 1
-            happy = True
-            residual = 0.0
+            used, residual, expH = j + 1, 0.0, None
             break
         V[j + 1] = w / hnext
         if (j + 1) % cfg.check_every == 0 or j == dim - 1:
@@ -165,8 +163,11 @@ def _arnoldi_expm(A, v0, dim, scale, btol, cfg):
                 used = j + 1
                 break
 
-    expH = scipy.linalg.expm(scale * HT[:used, :used].T.copy())
-    if not happy and residual > cfg.tol * max(1.0, beta):
+    # The last residual check exponentiated H on the basis in use, unless the
+    # basis broke down (the exact action) after it.
+    if expH is None:
+        expH = scipy.linalg.expm(scale * HT[:used, :used].T.copy())
+    elif residual > cfg.tol * max(1.0, beta):
         raise KrylovConvergenceError(
             f"Krylov subspace of dimension {used} left residual estimate "
             f"{residual:.3e} above tolerance {cfg.tol:.1e}; increase dim",

@@ -81,6 +81,8 @@ class ModelParams:
             coeffs = tuple(float(x) for x in getattr(self, name))
             if len(coeffs) != 3:
                 violations.append(f"{name} needs 3 coefficients")
+            elif not (np.all(np.isfinite(coeffs)) and coeffs[2] >= 0):
+                violations.append(f"{name} must be finite with a3 >= 0, got {coeffs}")
             object.__setattr__(self, name, coeffs)
         try:
             object.__setattr__(self, "correlation", validate_correlation(self.correlation))

@@ -29,7 +29,13 @@ from .grids import AXES, Grid4D, checked_steps
 from .model import ModelParams, OptionSpec
 from .stencils import ShapeParameterWarning
 
-BOUNDARY_MODES = ("dirichlet", "neumann_flux", "abc")
+# mode -> (faces pinned at the payoff, faces replaced by the one-sided
+# second-derivative row); both in corner precedence s > v > rd > rf.
+BOUNDARY_MODES = {
+    "dirichlet": (("s_lo", "s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi"), ()),
+    "neumann_flux": (("s_lo",), ("s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi")),
+    "abc": ((), ()),
+}
 THETA_MODES = ("time_dependent", "constant_approx")
 
 
@@ -53,9 +59,10 @@ def boundary_violations(mode, kind):
     The mode must be one of ``BOUNDARY_MODES``, and a put may not take a mode
     that pins s=0 at the payoff.  Returns [] when the pair is valid.
     """
-    if mode not in BOUNDARY_MODES:
-        return [f"boundary must be one of {BOUNDARY_MODES}, got {mode!r}"]
-    if mode in ("dirichlet", "neumann_flux") and kind == "put":
+    names = tuple(BOUNDARY_MODES)
+    if mode not in names:
+        return [f"boundary must be one of {names}, got {mode!r}"]
+    if "s_lo" in BOUNDARY_MODES[mode][0] and kind == "put":
         return [f"boundary mode {mode!r} pins s=0 at the payoff, which is wrong for a "
                 "put whose s=0 value decays with the domestic discount; use mode 'abc'"]
     return []
@@ -314,7 +321,7 @@ def _replace_rows(A, mask, B):
 def impose_boundaries(
     op: AssembledOperator, mode, option: OptionSpec
 ) -> AssembledOperator:
-    """Impose boundary rows on an assembled operator; returns a new operator.
+    """Impose the boundary rows of ``BOUNDARY_MODES[mode]``; returns a new operator.
 
     ``dirichlet``
         every outer face except v=0 is pinned at its initial (payoff) value:
@@ -335,25 +342,22 @@ def impose_boundaries(
     if violations:
         raise ConfigError(violations)
 
+    pin_faces, flux_faces = BOUNDARY_MODES[mode]
     masks = face_masks(op.grid)
     base, parts = op.base, op.theta_parts
     pinned = np.zeros(op.n, dtype=bool)
-    if mode == "dirichlet":
-        pinned = np.logical_or.reduce(
-            [masks[f] for f in ("s_lo", "s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi")]
-        )
+    for face in pin_faces:
+        pinned |= masks[face]
+    if pinned.any():
         base = _zero_rows(base, pinned)
-        taken = pinned
-    elif mode == "neumann_flux":
-        pinned = masks["s_lo"]
-        base = _zero_rows(base, pinned)
-        taken = pinned.copy()
-        d2 = {ax: _kron_term(1.0, {ax: op.d2[ax]}, op.grid) for ax in AXES}
-        for face in ("s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi"):
-            rows = masks[face] & ~taken
-            base = _replace_rows(base, rows, d2[face.split("_")[0]])
-            taken |= rows
-    if mode != "abc" and parts is not None:
+    taken = pinned.copy()
+    d2 = {ax: _kron_term(1.0, {ax: op.d2[ax]}, op.grid)
+          for ax in {face.split("_")[0] for face in flux_faces}}
+    for face in flux_faces:
+        rows = masks[face] & ~taken
+        base = _replace_rows(base, rows, d2[face.split("_")[0]])
+        taken |= rows
+    if taken.any() and parts is not None:
         parts = tuple(_zero_rows(B, taken) for B in parts)
 
     return dataclasses.replace(op, base=base, theta_parts=parts, pinned=pinned)

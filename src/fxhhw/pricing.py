@@ -16,6 +16,7 @@ from .grids import AXES, Grid4D, outside
 from .integrators import (
     KrylovConfig,
     MidpointConfig,
+    krylov_dim_violations,
     krylov_expm_action,
     midpoint_step_violations,
     modified_midpoint_solve,
@@ -152,6 +153,12 @@ def _axis_weights_cubic(nodes, x):
 INTERPOLATIONS = {"linear": _axis_weights_linear, "cubic": _axis_weights_cubic}
 
 
+def interpolation_violations(method):
+    """[] when ``method`` is one of ``INTERPOLATIONS``, else its one violation."""
+    names = tuple(INTERPOLATIONS)
+    return [] if method in names else [f"interpolation must be one of {names}, got {method!r}"]
+
+
 def interpolate(field: SolutionField, point, method="linear"):
     """Value at (s, v, r_d, r_f) by tensor-product interpolation.
 
@@ -165,8 +172,9 @@ def interpolate(field: SolutionField, point, method="linear"):
     bad = outside(coords, g.box)
     if bad:
         raise RangeError("query " + "; ".join(bad))
-    if method not in INTERPOLATIONS:
-        raise InvalidArgumentError(f"unknown interpolation method {method!r}")
+    violations = interpolation_violations(method)
+    if violations:
+        raise InvalidArgumentError(violations)
     axw = INTERPOLATIONS[method]
 
     # Indices and weights per axis, rf first like the axes of reshape4.
@@ -194,10 +202,11 @@ def price(
     ``solver='auto'`` picks the Krylov exponential when the operator is
     time-independent and the midpoint stepper otherwise.  The solver and
     boundary rules (:func:`solver_violations`,
-    :func:`operators.boundary_violations`) and the ``theta_mode`` name
-    (:func:`operators.theta_mode_violations`) are checked before anything is
-    assembled.  The initial condition is the raw (unsmoothed) payoff.  The
-    returned field carries the operator it solved.
+    :func:`operators.boundary_violations`), the ``theta_mode`` name
+    (:func:`operators.theta_mode_violations`) and the Krylov subspace rule on
+    N (:func:`~fxhhw.integrators.krylov_dim_violations`) are checked before
+    anything is assembled.  The initial condition is the raw (unsmoothed)
+    payoff.  The returned field carries the operator it solved.
     """
     time_dependent = operators.time_dependent_operator(
         theta_mode, model.theta_d_params, model.theta_f_params
@@ -207,9 +216,12 @@ def price(
         + operators.boundary_violations(boundary, option.kind)
         + operators.theta_mode_violations(theta_mode)
     )
+    solver = _resolve_solver(solver, time_dependent)
+    krylov = krylov or KrylovConfig()
+    if solver == "krylov":
+        violations += krylov_dim_violations(krylov.dim, grid.n)
     if violations:
         raise ConfigError(violations)
-    solver = _resolve_solver(solver, time_dependent)
     T = option.maturity
     fl = feller_check(model)
     if not fl.satisfied:
@@ -227,7 +239,7 @@ def price(
 
     v0 = payoff_vector(grid, option)
     if solver == "krylov":
-        v = krylov_expm_action(op.matrix(0.0), v0, krylov or KrylovConfig(), tau=T)
+        v = krylov_expm_action(op.matrix(0.0), v0, krylov, tau=T)
     else:
         v = modified_midpoint_solve(op, v0, MidpointConfig.from_horizon(T, delta_tau))
     return SolutionField(values=v, grid=grid, tau=T, operator=op)

@@ -6,7 +6,6 @@ import csv
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -149,10 +148,6 @@ def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentRepo
     return report
 
 
-def _sweep_row(cfg):
-    return _solve_row(cfg)[1]
-
-
 def parse_ladder(ladder):
     """Sizes of a refinement ladder given as ``'8,16,32'`` or a sequence.
 
@@ -182,11 +177,9 @@ def fill_roc(rows):
         ]
 
 
-def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), workers=1,
-          out_dir=None) -> ExperimentReport:
-    """Refine one axis over a doubling ladder and report prices + ROC;
-    ``workers > 1`` solves the rungs in that many processes.  Every rung is
-    checked against the rules on its sizes before any is solved."""
+def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), out_dir=None) -> ExperimentReport:
+    """Refine one axis over a doubling ladder and report prices + ROC.  Every
+    rung is checked against the rules on its sizes before any is solved."""
     ladder = parse_ladder(ladder)
     if axis not in AXES:
         raise ConfigError([f"unknown sweep axis {axis!r}"])
@@ -197,11 +190,7 @@ def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), workers=1,
     if violations:
         raise ConfigError(violations)
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, rungs))
-    else:
-        rows = [_sweep_row(rung) for rung in rungs]
+    rows = [_solve_row(rung)[1] for rung in rungs]
     fill_roc(rows)
     report = ExperimentReport(
         name=f"{cfg.name}-sweep-{axis}",

@@ -159,6 +159,14 @@ class TestConfigParsing:
             from_dict(raw)
         assert err.value.violations == operators.theta_mode_violations("bogus")
 
+    def test_interpolation_reported_by_its_owner(self):
+        raw = tiny_config_dict()
+        raw["solver"]["interpolation"] = "quintic"
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations == pricing.interpolation_violations("quintic") == [
+            "interpolation must be one of ('linear', 'cubic'), got 'quintic'"]
+
     @pytest.mark.parametrize("axis, value, box", [
         ("s", -1.0, "[0.0, 1400.0]"), ("s", 1500.0, "[0.0, 1400.0]"),
         ("v", -0.01, "[0.0, 10.0]"), ("v", 11.0, "[0.0, 10.0]"),
@@ -453,8 +461,13 @@ class TestCli:
          "mc.antithetic must be a boolean (true or false), got 'false'"),
         ("", "compute_lambda_max", "no",
          "compute_lambda_max must be a boolean (true or false), got 'no'"),
+        ("model", "theta_d", [0.05, 0.0, -800.0],
+         "model.theta_d_params must be finite with a3 >= 0, got (0.05, 0.0, -800.0)"),
+        ("model", "theta_f", [float("nan"), 0.0, 0.0],
+         "model.theta_f_params must be finite with a3 >= 0, got (nan, 0.0, 0.0)"),
     ], ids=["xi_s", "s_max", "v_max", "r_max", "m-fraction", "seed", "mc-paths",
-            "mc-steps-bool", "mc-antithetic-str", "lambda-max-str"])
+            "mc-steps-bool", "mc-antithetic-str", "lambda-max-str", "theta-a3-negative",
+            "theta-nan"])
     def test_load_time_rule_exit_two(self, tmp_path, capsys, monkeypatch, entry, key, value,
                                      message):
         def no_solve(*args, **kwargs):
@@ -550,15 +563,6 @@ class TestCli:
         assert err[0].startswith(f"config error: cannot read a saved field from {path}: ")
         assert not (tmp_path / "slice.csv").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-5", "two"])
-    def test_sweep_workers_must_be_positive(self, tmp_path, capsys, workers):
-        cfg_path = tmp_path / "tiny.yaml"
-        cfg_path.write_text(yaml.safe_dump(tiny_config_dict()))
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["sweep", str(cfg_path), "--workers", workers])
-        assert exit_.value.code == 2
-        assert f"must be a positive integer, got {workers!r}" in capsys.readouterr().err
-
     def test_sweep_subcommand_with_synthetic_ladder(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.yaml"
         raw = tiny_config_dict()
@@ -622,17 +626,6 @@ class TestRunnerDiagnostics:
         first = (tmp_path / "a" / name).read_bytes()
         assert first == (tmp_path / "b" / name).read_bytes()
         assert list(csv.reader(first.decode().splitlines()))[1][8] != ""
-
-    def test_parallel_sweep_matches_sequential(self):
-        raw = tiny_config_dict()
-        raw["grid"]["m"] = [8, 5, 4, 4]
-        raw["solver"]["krylov_dim"] = 300
-        cfg = from_dict(raw)
-        seq = sweep(cfg, axis="s", ladder=(8, 16, 32), workers=1)
-        par = sweep(cfg, axis="s", ladder=(8, 16, 32), workers=2)
-        for a, b in zip(seq.rows, par.rows):
-            assert a.m == b.m
-            np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
 
 
 class TestBundledExperiments:

@@ -178,6 +178,18 @@ class TestModelValidation:
             "theta_f_params needs 3 coefficients",
         ]
 
+    @pytest.mark.parametrize("coeffs, message", [
+        ((0.05, 0.0, -800.0), "theta_d_params must be finite with a3 >= 0, "
+                              "got (0.05, 0.0, -800.0)"),
+        ((float("nan"), 0.0, 0.0), "theta_d_params must be finite with a3 >= 0, "
+                                   "got (nan, 0.0, 0.0)"),
+    ], ids=["negative-a3", "nan-a1"])
+    def test_theta_coefficients_must_give_finite_levels(self, coeffs, message):
+        m = experiment1_model()
+        with pytest.raises(ModelConfigError) as err:
+            ModelParams(**{**m.__dict__, "theta_d_params": coeffs})
+        assert err.value.violations == [message]
+
     def test_option_rules_reported_in_one_raise(self):
         with pytest.raises(InvalidArgumentError) as err:
             OptionSpec("swap", -1.0, 0.0)

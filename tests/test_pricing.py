@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fxhhw import operators
+from fxhhw import integrators, operators
 from fxhhw.config import bundled_config_path, from_yaml
 from fxhhw.errors import ConfigError, InvalidArgumentError, RangeError
 from fxhhw.grids import AxisSpec, build_grid, uniform_grid
@@ -148,6 +148,14 @@ class TestPriceSolutionBasics:
                                   ("midpoint", -0.05)):
             with pytest.raises(ConfigError):
                 price(par3, opt, g, solver=solver, delta_tau=delta_tau)
+
+    def test_over_budget_krylov_dim_refused_before_assembly(self, par1, monkeypatch):
+        monkeypatch.setattr(operators, "assemble_operator", self._no_assembly)
+        monkeypatch.setattr(integrators, "BASIS_BUDGET_BYTES", 2**20)
+        g = experiment_grid((6, 5, 4, 4))  # N = 480: dim 400 needs 1.5 MiB
+        with pytest.raises(ConfigError) as err:
+            price(par1, OptionSpec("call", 100.0, 1.0), g, krylov=KrylovConfig(dim=400))
+        assert err.value.violations == integrators.krylov_dim_violations(400, g.n)
 
     @pytest.mark.parametrize("kind, boundary", [
         ("call", "bogus"), ("put", "dirichlet"), ("put", "neumann_flux"),
