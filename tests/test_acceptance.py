@@ -119,8 +119,7 @@ def test_criterion_4_s_direction_roc():
         grid = experiment_grid((m1,) + rest)
         fld = price(par, opt, grid, boundary="dirichlet",
                     krylov=KrylovConfig(dim=min(900, grid.n), tol=1e-10,
-                                        check_every=25,
-                                        substeps=max(1, m1 // 16)))
+                                        check_every=25))
         vals["V1"].append(fld.interpolate(V1_POINT, "cubic"))
         vals["V2"].append(fld.interpolate(V2_POINT, "cubic"))
     rocs = [roc(*vals["V2"][k - 2 : k + 1]) for k in range(2, 5)]

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fxhhw import integrators
 from fxhhw.config import bundled_config_path, from_yaml
@@ -25,6 +27,29 @@ def random_stable_sparse(rng, n=50, density=0.15, shift=3.0):
     A = sp.random(n, n, density=density, random_state=np.random.RandomState(rng.integers(1 << 31)))
     A = (A - A.T) * 0.5 + sp.diags(-shift - rng.random(n))
     return A.tocsr()
+
+
+def split_into(monkeypatch, A, tau, substeps):
+    """Set ``SUBSTEP_NORM`` so that tau * ||A||_1 splits into ``substeps``."""
+    norm = float(spla.norm(A, 1))
+    monkeypatch.setattr(integrators, "SUBSTEP_NORM", tau * norm / (substeps - 0.5))
+
+
+class TestKrylovConfig:
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-9])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(InvalidArgumentError, match="tol must be positive"):
+            KrylovConfig(tol=tol, dim=20)
+
+    @pytest.mark.parametrize("check_every", [0, -3])
+    def test_check_every_at_least_one(self, check_every):
+        with pytest.raises(InvalidArgumentError, match="check_every must be >= 1"):
+            KrylovConfig(check_every=check_every)
+
+    def test_every_violation_reported(self):
+        with pytest.raises(InvalidArgumentError) as err:
+            KrylovConfig(dim=0, tol=np.nan, check_every=0)
+        assert len(err.value.violations) == 3
 
 
 class TestKrylovExpmAction:
@@ -56,7 +81,7 @@ class TestKrylovExpmAction:
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
 
     @pytest.mark.parametrize("tau, substeps", [(2.0, 1), (0.25, 1), (1.0, 2), (2.0, 4)])
-    def test_horizon_equals_prescaled_matrix_bitwise(self, rng, tau, substeps):
+    def test_horizon_equals_prescaled_matrix_bitwise(self, rng, monkeypatch, tau, substeps):
         # The horizon scales H, the breakdown threshold and the residual; for
         # a power-of-two tau / substeps that is exactly the Arnoldi run on the
         # prescaled matrix, substep by substep.
@@ -65,17 +90,17 @@ class TestKrylovExpmAction:
             "dirichlet", OptionSpec("call", 100.0, 1.0),
         )
         for A in (op.matrix(0.0), random_stable_sparse(rng)):
+            split_into(monkeypatch, A, tau, substeps)
             v = rng.standard_normal(A.shape[0])
             cfg = KrylovConfig(dim=min(300, A.shape[0]), tol=1e-10)
-            got = krylov_expm_action(A, v, KrylovConfig(dim=cfg.dim, tol=cfg.tol,
-                                                        substeps=substeps), tau=tau)
+            got = krylov_expm_action(A, v, cfg, tau=tau)
             want = v
             scaled = (A * (tau / substeps)).tocsr()
             for _ in range(substeps):
                 want = krylov_expm_action(scaled, want, cfg)
             np.testing.assert_array_equal(got, want)
 
-    def test_horizon_makes_no_copy_of_the_matrix(self, rng):
+    def test_horizon_makes_no_copy_of_the_matrix(self, rng, monkeypatch):
         operands = []
 
         class Recording(sp.csr_matrix):
@@ -85,9 +110,41 @@ class TestKrylovExpmAction:
 
         A = Recording(random_stable_sparse(rng))
         for tau, substeps in ((0.37, 1), (2.0, 3)):
-            cfg = KrylovConfig(dim=40, tol=1e-12, substeps=substeps)
+            split_into(monkeypatch, A, tau, substeps)
+            cfg = KrylovConfig(dim=40, tol=1e-12)
             krylov_expm_action(A, rng.standard_normal(50), cfg, tau=tau)
         assert operands and all(M is A for M in operands)
+
+    @pytest.mark.parametrize("tau", [0.37, 1.0, 2.0])
+    def test_substeps_follow_the_norm(self, rng, monkeypatch, tau):
+        calls = []
+        arnoldi = integrators._arnoldi_expm
+
+        def counting(*args):
+            calls.append(args[3])
+            return arnoldi(*args)
+
+        monkeypatch.setattr(integrators, "_arnoldi_expm", counting)
+        d = -np.linspace(1.0, 2500.0, 200)  # ||A||_1 = 2500
+        v = rng.standard_normal(200)
+        got = krylov_expm_action(sp.diags(d).tocsr(), v, KrylovConfig(tol=1e-12), tau=tau)
+        assert len(calls) == math.ceil(tau * 2500.0 / integrators.SUBSTEP_NORM)
+        assert calls == [tau / len(calls)] * len(calls)
+        np.testing.assert_allclose(got, np.exp(tau * d) * v, rtol=1e-10, atol=1e-12)
+        calls.clear()
+        krylov_expm_action(sp.csr_matrix((200, 200)), v, tau=tau)
+        assert len(calls) == 1
+
+    def test_underflow_to_zero_stays_zero(self):
+        # Ten short solves of exp(-1000) each: the first underflows v to exactly 0.
+        A = sp.diags(np.full(10, -1e4)).tocsr()
+        out = krylov_expm_action(A, np.ones(10), tau=1.0)
+        np.testing.assert_array_equal(out, np.zeros(10))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_horizon_must_be_positive_and_finite(self, tau):
+        with pytest.raises(InvalidArgumentError, match="horizon"):
+            krylov_expm_action(sp.identity(5).tocsr(), np.ones(5), tau=tau)
 
     def test_over_budget_dim_refused_before_allocating(self):
         n = 10**6
