@@ -44,7 +44,7 @@ grid = build_grid(
 print(f"grid {m}: {grid.n} nodes")
 
 t0 = time.time()
-field = price(model, option, grid, boundary="dirichlet",
+field = price(model, option, grid, solver="krylov", boundary="dirichlet",
               krylov=KrylovConfig(dim=700, tol=1e-9))
 print(f"solved in {time.time() - t0:.1f}s")
 

@@ -44,8 +44,8 @@ def make_grid(m1, m2=10, m3=8, m4=8):
     )
 
 print("=== Greeks slice at (r_d, r_f) = (0.1, 0.1) ===")
-field = price(model, option, make_grid(20, 14), boundary="dirichlet",
-              krylov=KrylovConfig(dim=700))
+field = price(model, option, make_grid(20, 14), solver="krylov",
+              boundary="dirichlet", krylov=KrylovConfig(dim=700))
 gs = greeks(field, rd=0.1, rf=0.1)
 iv = int(np.argmin(np.abs(field.grid.v_nodes - 0.04)))
 print("  spot   value   delta    vega     vanna")
@@ -69,7 +69,8 @@ print()
 print("=== spot-direction rate of convergence ===")
 vals = []
 for m1 in (8, 16, 32, 64):
-    f = price(model, option, make_grid(m1, 8, 6, 6), boundary="dirichlet",
+    f = price(model, option, make_grid(m1, 8, 6, 6), solver="krylov",
+              boundary="dirichlet",
               krylov=KrylovConfig(dim=1200, tol=1e-11, check_every=25))
     vals.append(f.interpolate((100.0, 0.04, 0.1, 0.1), "cubic"))
     print(f"  m1={m1:4d}: V2={vals[-1]:.6f}")

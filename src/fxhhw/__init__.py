@@ -4,14 +4,15 @@ the domestic and foreign currencies, with a full correlation matrix.
 
 The backward 4D PDE is discretized in space with localized Gaussian RBF-FD
 weights on sinh-stretched tensor grids and advanced in backward time either
-by a Krylov matrix-exponential action (constant coefficients) or an explicit
-modified midpoint stepper (time-dependent mean-reversion levels).  A uniform
-central-difference baseline and a full-truncation Monte Carlo simulator
-provide independent validation.
+by a Chebyshev or Arnoldi matrix-exponential action (constant coefficients)
+or an explicit modified midpoint stepper (time-dependent mean-reversion
+levels).  A uniform central-difference baseline and a full-truncation Monte
+Carlo simulator provide independent validation.
 """
 
 from .errors import (
     AssemblyError,
+    ChebyshevError,
     ConditioningError,
     ConfigError,
     FxhhwError,
@@ -30,6 +31,7 @@ from .integrators import (
     KrylovConfig,
     MidpointConfig,
     SpectralReport,
+    chebyshev_expm_action,
     estimate_lambda_max,
     krylov_expm_action,
     modified_midpoint_solve,
@@ -45,6 +47,7 @@ __all__ = [
     "AssembledOperator",
     "AssemblyError",
     "AxisSpec",
+    "ChebyshevError",
     "ConditioningError",
     "ConfigError",
     "ExperimentConfig",
@@ -70,6 +73,7 @@ __all__ = [
     "assemble_operator",
     "build_grid",
     "bundled_config_path",
+    "chebyshev_expm_action",
     "correlation_matrix",
     "estimate_lambda_max",
     "feller_check",

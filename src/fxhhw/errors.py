@@ -55,6 +55,18 @@ class KrylovConvergenceError(FxhhwError):
         self.dim = dim
 
 
+class ChebyshevError(FxhhwError):
+    """The Chebyshev exp-action could not vouch for its sum: a term went
+    non-finite, the degree cap was reached, or the rounding indicator
+    exceeded the tolerance.  Carries the terms summed in ``degree`` and the
+    indicator in ``indicator`` (None when not computed)."""
+
+    def __init__(self, message, degree=None, indicator=None):
+        super().__init__(message)
+        self.degree = degree
+        self.indicator = indicator
+
+
 class RangeError(FxhhwError, ValueError):
     """A query point or slice lies outside the computational domain."""
 

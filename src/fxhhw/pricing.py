@@ -16,6 +16,7 @@ from .grids import AXES, Grid4D, outside
 from .integrators import (
     KrylovConfig,
     MidpointConfig,
+    chebyshev_expm_action,
     krylov_dim_violations,
     krylov_expm_action,
     midpoint_step_violations,
@@ -23,35 +24,52 @@ from .integrators import (
 )
 from .model import ModelParams, OptionSpec, feller_check
 
-SOLVERS = ("auto", "krylov", "midpoint")
+
+# Each solver's integrator, called as (operator, payoff, horizon, Krylov
+# settings, delta_tau).  Each looks its kernel up in this module when it
+# runs, so a replaced module attribute is the one called.
+def _krylov(op, v0, horizon, krylov, delta_tau):
+    return krylov_expm_action(op.matrix(0.0), v0, krylov, tau=horizon)
+
+
+def _chebyshev(op, v0, horizon, krylov, delta_tau):
+    return chebyshev_expm_action(op.matrix(0.0), v0, horizon)
+
+
+def _midpoint(op, v0, horizon, krylov, delta_tau):
+    return modified_midpoint_solve(op, v0, MidpointConfig.from_horizon(horizon, delta_tau))
+
+
+SOLVERS = {"krylov": _krylov, "chebyshev": _chebyshev, "midpoint": _midpoint}
 
 
 def _resolve_solver(solver, time_dependent):
     """The solver ``auto`` stands for: midpoint when the operator is
-    time-dependent, krylov otherwise."""
+    time-dependent, chebyshev otherwise."""
     if solver == "auto":
-        return "midpoint" if time_dependent else "krylov"
+        return "midpoint" if time_dependent else "chebyshev"
     return solver
 
 
 def solver_violations(solver, time_dependent, delta_tau, maturity):
     """Every violation of the solver rules; [] when the request is valid.
 
-    The name must be one of ``SOLVERS``; krylov needs a time-independent
-    operator; midpoint, named or resolved from ``auto``, must keep the step
-    rule :func:`~fxhhw.integrators.midpoint_step_violations` with the maturity
-    as horizon (``maturity=None``, an invalid maturity already reported, skips
+    The name must be ``auto`` or one of ``SOLVERS``; krylov and chebyshev
+    need a time-independent operator; midpoint, named or resolved from
+    ``auto``, must keep the step rule
+    :func:`~fxhhw.integrators.midpoint_step_violations` with the maturity as
+    horizon (``maturity=None``, an invalid maturity already reported, skips
     the divides check).
     """
-    if solver not in SOLVERS:
-        return [f"solver must be one of {SOLVERS}, got {solver!r}"]
+    if solver != "auto" and solver not in SOLVERS:
+        return [f"solver must be one of {('auto', *SOLVERS)}, got {solver!r}"]
     solver = _resolve_solver(solver, time_dependent)
-    if solver == "krylov" and time_dependent:
-        return ["solver 'krylov' requires a time-independent operator; "
+    if solver == "midpoint":
+        return [f"solver.{v}" for v in midpoint_step_violations(delta_tau, maturity)]
+    if time_dependent:  # every other solver exponentiates A(0)
+        return [f"solver {solver!r} requires a time-independent operator; "
                 "use theta_mode 'constant_approx' or solver 'midpoint'"]
-    if solver != "midpoint":
-        return []
-    return [f"solver.{v}" for v in midpoint_step_violations(delta_tau, maturity)]
+    return []
 
 
 try:
@@ -199,14 +217,17 @@ def price(
 ) -> SolutionField:
     """Solve the backward PDE from the payoff to tau = maturity.
 
-    ``solver='auto'`` picks the Krylov exponential when the operator is
-    time-independent and the midpoint stepper otherwise.  The solver and
+    ``solver`` names an entry of ``SOLVERS``: ``chebyshev`` (the Chebyshev
+    exp-action, matvecs only), ``krylov`` (the Arnoldi exp-action under the
+    ``krylov`` settings) or ``midpoint`` (the explicit stepper, step
+    ``delta_tau``).  ``auto`` picks chebyshev when the operator is
+    time-independent and midpoint otherwise.  The solver and
     boundary rules (:func:`solver_violations`,
     :func:`operators.boundary_violations`), the ``theta_mode`` name
-    (:func:`operators.theta_mode_violations`) and the Krylov subspace rule on
-    N (:func:`~fxhhw.integrators.krylov_dim_violations`) are checked before
-    anything is assembled.  The initial condition is the raw (unsmoothed)
-    payoff.  The returned field carries the operator it solved.
+    (:func:`operators.theta_mode_violations`) and, for krylov, the subspace
+    rule on N (:func:`~fxhhw.integrators.krylov_dim_violations`) are checked
+    before anything is assembled.  The initial condition is the raw
+    (unsmoothed) payoff.  The returned field carries the operator it solved.
     """
     time_dependent = operators.time_dependent_operator(
         theta_mode, model.theta_d_params, model.theta_f_params
@@ -237,11 +258,7 @@ def price(
     # The operator without boundary rows is garbage from here on.
     _release_freed_heap()
 
-    v0 = payoff_vector(grid, option)
-    if solver == "krylov":
-        v = krylov_expm_action(op.matrix(0.0), v0, krylov, tau=T)
-    else:
-        v = modified_midpoint_solve(op, v0, MidpointConfig.from_horizon(T, delta_tau))
+    v = SOLVERS[solver](op, payoff_vector(grid, option), T, krylov, delta_tau)
     return SolutionField(values=v, grid=grid, tau=T, operator=op)
 
 

@@ -16,13 +16,14 @@ from fxhhw.grids import uniform_grid
 from fxhhw.integrators import (
     KrylovConfig,
     MidpointConfig,
+    chebyshev_expm_action,
     estimate_lambda_max,
     krylov_expm_action,
     modified_midpoint_solve,
 )
 from fxhhw.mc import McConfig, simulate_price
 from fxhhw.model import ModelParams, OptionSpec
-from fxhhw.pricing import greeks, price, relative_error, roc
+from fxhhw.pricing import greeks, payoff_vector, price, relative_error, roc
 from fxhhw.stencils import collocation_weights_oracle, first_weight_rows, second_weight_rows
 from conftest import experiment1_model, experiment3_model, experiment_grid
 
@@ -44,7 +45,7 @@ def exp1_field_c1():
     opt = OptionSpec("call", E, 1.0)
     grid = experiment_grid((28, 20, 14, 14))
     t0 = time.perf_counter()
-    fld = price(par, opt, grid, boundary="dirichlet",
+    fld = price(par, opt, grid, solver="krylov", boundary="dirichlet",
                 krylov=KrylovConfig(dim=700, tol=1e-9, check_every=25))
     fld.elapsed = time.perf_counter() - t0
     return fld
@@ -56,7 +57,7 @@ def exp2_field():
     par = experiment1_model()
     opt = OptionSpec("put", E, 2.0)
     grid = experiment_grid((10, 8, 6, 6))
-    return price(par, opt, grid, boundary="abc",
+    return price(par, opt, grid, solver="krylov", boundary="abc",
                  krylov=KrylovConfig(dim=700, tol=1e-9))
 
 
@@ -111,15 +112,15 @@ def test_criterion_4_s_direction_roc():
     # per-node convergence noise, so its late-rung difference ratios are not
     # informative at the off-axis sizes feasible here.  V1's values are
     # reported for transparency but not asserted.
+    # The rungs are solved by the Chebyshev action; V1 and V2 sit within
+    # 3.4e-12 relative of Arnoldi at tol=1e-13 on every rung.
     par = experiment1_model()
     opt = OptionSpec("call", E, 1.0)
     rest = (8, 8, 8)
     vals = {"V1": [], "V2": []}
     for m1 in (8, 16, 32, 64, 128):
         grid = experiment_grid((m1,) + rest)
-        fld = price(par, opt, grid, boundary="dirichlet",
-                    krylov=KrylovConfig(dim=min(900, grid.n), tol=1e-10,
-                                        check_every=25))
+        fld = price(par, opt, grid, solver="chebyshev", boundary="dirichlet")
         vals["V1"].append(fld.interpolate(V1_POINT, "cubic"))
         vals["V2"].append(fld.interpolate(V2_POINT, "cubic"))
     rocs = [roc(*vals["V2"][k - 2 : k + 1]) for k in range(2, 5)]
@@ -253,6 +254,37 @@ def test_criterion_6_krylov_vs_dense(rng):
                   f"rank-1 {rank1_err:.2e}")
 
 
+def test_criterion_6_chebyshev_vs_dense(rng):
+    # The Chebyshev twin of criterion 6: random stable matrices, and a small
+    # abc put operator shaped like experiment 2's, whose eigenvalues reach
+    # right of 0 (rightmost about +3.5) at experiment 2's horizon.
+    import scipy.linalg
+    import scipy.sparse as sp
+
+    worst = 0.0
+    for _ in range(5):
+        A = sp.random(50, 50, density=0.15,
+                      random_state=np.random.RandomState(rng.integers(1 << 31)))
+        A = ((A - A.T) * 0.5 + sp.diags(-3.0 - rng.random(50))).tocsr()
+        v = rng.standard_normal(50)
+        got = chebyshev_expm_action(A, v)
+        want = scipy.linalg.expm(A.toarray()) @ v
+        worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    opt = OptionSpec("put", E, 2.0)
+    grid = experiment_grid((6, 5, 4, 4))
+    op = operators.impose_boundaries(
+        operators.assemble_operator(grid, experiment1_model()), "abc", opt
+    )
+    A = op.matrix(0.0)
+    rightmost = float(np.linalg.eigvals(A.toarray()).real.max())
+    v = payoff_vector(grid, opt)
+    want = scipy.linalg.expm(2.0 * A.toarray()) @ v
+    abc_err = np.linalg.norm(chebyshev_expm_action(A, v, 2.0) - want) / np.linalg.norm(want)
+    ok = worst < 1e-10 and abc_err < 1e-10 and rightmost > 0
+    report("6 (Chebyshev)", ok, f"dense-oracle gap {worst:.2e}, abc operator "
+                                f"(rightmost {rightmost:+.2f}) {abc_err:.2e}")
+
+
 def test_criterion_7_midpoint_temporal_order(rng):
     import scipy.linalg
     import scipy.sparse as sp
@@ -339,8 +371,8 @@ def test_criterion_9_mc_cross_validation(exp1_field_c1, exp2_field):
 def test_criterion_10_fdkm_failure_mode(exp2_field):
     par = experiment1_model()
     opt = OptionSpec("put", E, 2.0)
-    fld = price(par, opt, uniform_grid((10, 8, 6, 6), 14 * E), boundary="abc",
-                krylov=KrylovConfig(dim=700, tol=1e-9), fd_limit=True)
+    fld = price(par, opt, uniform_grid((10, 8, 6, 6), 14 * E), solver="krylov",
+                boundary="abc", krylov=KrylovConfig(dim=700, tol=1e-9), fd_limit=True)
     v1 = fld.interpolate(V1_POINT, "cubic")
     fdkm_bad = v1 < 0 or relative_error(v1, 12.528) > 0.10
     pm_v1 = exp2_field.interpolate(V1_POINT, "cubic")

@@ -89,6 +89,15 @@ class TestConfigParsing:
             from_dict(raw)
         assert any("time-independent" in v for v in err.value.violations)
 
+    def test_chebyshev_with_time_dependent_theta_rejected(self):
+        raw = tiny_config_dict()
+        raw["model"]["theta_d"] = [0.074, 0.014, 2.10]
+        raw["solver"]["solver"] = "chebyshev"
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert any("solver 'chebyshev' requires a time-independent" in v
+                   for v in err.value.violations)
+
     def test_short_theta_list_reported_not_raised(self):
         raw = tiny_config_dict()
         raw["model"]["theta_d"] = [0.05, 0.1]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,17 +13,20 @@ import scipy.sparse.linalg as spla
 
 from fxhhw import integrators
 from fxhhw.config import bundled_config_path, from_yaml
-from fxhhw.errors import InstabilityError, InvalidArgumentError, KrylovConvergenceError
+from fxhhw.errors import (ChebyshevError, InstabilityError, InvalidArgumentError,
+                          KrylovConvergenceError)
 from fxhhw.integrators import (
     DENSE_EIG_CUTOFF,
     KrylovConfig,
     MidpointConfig,
+    chebyshev_expm_action,
     estimate_lambda_max,
     krylov_expm_action,
     modified_midpoint_solve,
 )
 from fxhhw.model import OptionSpec
 from fxhhw.operators import assemble_operator, impose_boundaries
+from fxhhw.pricing import payoff_vector
 from conftest import experiment1_model, experiment_grid
 
 
@@ -240,6 +247,117 @@ class TestKrylovExpmAction:
         Q = np.array(V)
         G = Q @ Q.T
         assert np.max(np.abs(G - np.eye(len(V)))) < 1e-10
+
+
+class TestChebyshevExpmAction:
+    def test_zero_matrix_returns_input(self, rng):
+        v = rng.standard_normal(40)
+        out = chebyshev_expm_action(sp.csr_matrix((40, 40)), v, 3.0)
+        np.testing.assert_allclose(out, v, rtol=1e-14)
+
+    def test_diagonal_with_growing_modes(self, rng):
+        # Twenty distinct eigenvalues: the Ritz run breaks down at step 20
+        # with hi = max(d) exactly, and the result holds the growing modes.
+        d = np.repeat(rng.uniform(-30.0, 2.0, 20), 3)
+        v = rng.standard_normal(60)
+        for tau in (0.1, 1.0, 4.0):
+            want = np.exp(tau * d) * v
+            out = chebyshev_expm_action(sp.diags(d).tocsr(), v, tau)
+            assert np.linalg.norm(out - want) / np.linalg.norm(want) < 1e-11
+        hi = integrators._ritz_hi(sp.diags(d).tocsr(), v, 30, 0.0)
+        assert hi == pytest.approx(d.max(), rel=1e-12)
+
+    def test_tau_scaling(self, rng):
+        A = random_stable_sparse(rng)
+        v = rng.standard_normal(50)
+        got = chebyshev_expm_action(A, v, 0.37)
+        want = scipy.linalg.expm(0.37 * A.toarray()) @ v
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+
+    def test_interval_far_right_of_the_spectrum_raises(self):
+        # A small abc put operator (rightmost eigenvalue +3.5) at experiment
+        # 2's horizon: an interval reaching 60 past the spectrum makes the
+        # terms cancel far below their size, which the rounding indicator
+        # refuses.  Criterion 6's Chebyshev twin checks the interval the
+        # action picks itself on the same operator.
+        opt = OptionSpec("put", 100.0, 2.0)
+        g = experiment_grid((6, 5, 4, 4))
+        A = impose_boundaries(assemble_operator(g, experiment1_model()), "abc", opt).matrix()
+        v = payoff_vector(g, opt)
+        rightmost = float(np.linalg.eigvals(A.toarray()).real.max())
+        lo = integrators._gershgorin_lo_and_norm(A)[0]
+        with pytest.raises(ChebyshevError, match="rounding indicator") as err:
+            integrators._chebyshev_series(A, v, 2.0, lo, rightmost + 60.0)
+        assert err.value.indicator > integrators.CHEB_TOL
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_term_raises(self):
+        # An interval far left of the eigenvalue 1e6: T_k v overflows.
+        A = sp.diags(np.full(5, 1e6)).tocsr()
+        with pytest.raises(ChebyshevError, match="not finite"):
+            integrators._chebyshev_series(A, np.ones(5), 1.0, -1.0, 0.0)
+
+    def test_degree_cap_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(integrators, "CHEB_MAX_DEGREE", 10)
+        A = random_stable_sparse(rng, shift=300.0)
+        with pytest.raises(ChebyshevError, match="10 terms") as err:
+            chebyshev_expm_action(A, rng.standard_normal(50), 1.0)
+        assert err.value.degree == 10
+
+    def test_degree_cap_refused_up_front(self, monkeypatch):
+        # tau * d = 5000: the sum cannot stop before k = 71, past a cap of 10.
+        monkeypatch.setattr(integrators, "CHEB_MAX_DEGREE", 10)
+        calls = []
+        monkeypatch.setattr(integrators, "_scaled_bessel_i", calls.append)
+        A = sp.diags(np.linspace(-1e4, 0.0, 50)).tocsr()
+        with pytest.raises(ChebyshevError, match="sqrt"):
+            chebyshev_expm_action(A, np.ones(50), 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", ["v", "A"])
+    def test_non_finite_input_refused(self, bad):
+        A = sp.identity(5, format="csr")
+        v = np.ones(5)
+        if bad == "v":
+            v[2] = np.nan
+        else:
+            A = A * np.inf
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            chebyshev_expm_action(A, v)
+
+    def test_zero_vector_returns_zero(self):
+        out = chebyshev_expm_action(sp.identity(5, format="csr"), np.zeros(5), 2.0)
+        np.testing.assert_array_equal(out, np.zeros(5))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_horizon_must_be_positive_and_finite(self, tau):
+        with pytest.raises(InvalidArgumentError, match="horizon"):
+            chebyshev_expm_action(sp.identity(5).tocsr(), np.ones(5), tau)
+
+    def test_dimension_mismatch_refused(self):
+        with pytest.raises(InvalidArgumentError, match="dimension"):
+            chebyshev_expm_action(sp.identity(5).tocsr(), np.ones(4))
+
+    @pytest.mark.parametrize("z", [1e-12, 0.5, 10.0, 415.0, 1660.0, 6159.0, 1e5])
+    def test_scaled_bessel_matches_scipy(self, z):
+        from scipy.special import ive
+
+        got = integrators._scaled_bessel_i(z)
+        want = ive(np.arange(got.size + 50), z)
+        assert want[got.size:].max() < 1e-300 * want[0]  # nothing cut off
+        big = want[: got.size] > 1e-30 * want[0]
+        np.testing.assert_allclose(got[big], want[: got.size][big], rtol=2e-12)
+
+    def test_solve_does_not_load_scipy_special(self):
+        # scipy.special costs 3 MB of resident memory and 70 ms to import.
+        code = ("import sys, numpy as np, scipy.sparse as sp; "
+                "from fxhhw import chebyshev_expm_action; "
+                "chebyshev_expm_action(sp.diags(-np.arange(1.0, 9.0)).tocsr(), np.ones(8)); "
+                "print('scipy.special' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(integrators.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout.strip() == "False", done.stderr
 
 
 class TestMidpointConfig:

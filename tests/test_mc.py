@@ -163,7 +163,7 @@ def wide_domain_field():
         AxisSpec(8, -1.0, 1.0, 0.1, 500.0),
         AxisSpec(8, -1.0, 1.0, 0.1, 500.0),
     )
-    return price(par, opt, grid, boundary="dirichlet",
+    return price(par, opt, grid, solver="krylov", boundary="dirichlet",
                  krylov=KrylovConfig(dim=500))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fxhhw import integrators, operators
+from fxhhw import integrators, operators, pricing
 from fxhhw.config import bundled_config_path, from_yaml
 from fxhhw.errors import ConfigError, InvalidArgumentError, RangeError
 from fxhhw.grids import AxisSpec, build_grid, uniform_grid
@@ -27,7 +27,8 @@ def exp1_coarse_field():
     par = experiment1_model()
     opt = OptionSpec("call", 100.0, 1.0)
     g = experiment_grid((10, 8, 6, 6))
-    return price(par, opt, g, boundary="dirichlet", krylov=KrylovConfig(dim=400))
+    return price(par, opt, g, solver="krylov", boundary="dirichlet",
+                 krylov=KrylovConfig(dim=400))
 
 
 class TestPayoffVector:
@@ -107,8 +108,8 @@ class TestPriceSolutionBasics:
         # derived subspace cap gives the dim-600 field bit for bit.
         cfg = from_yaml(bundled_config_path("experiment2"))
         args = (cfg.model, cfg.option, cfg.grid())
-        f = price(*args, boundary="abc")
-        want = price(*args, boundary="abc", krylov=KrylovConfig(dim=600))
+        f = price(*args, solver="krylov", boundary="abc")
+        want = price(*args, solver="krylov", boundary="abc", krylov=KrylovConfig(dim=600))
         assert f.tau == cfg.option.maturity
         np.testing.assert_array_equal(f.values, want.values)
 
@@ -120,6 +121,38 @@ class TestPriceSolutionBasics:
         g = experiment_grid((6, 5, 4, 4))
         with pytest.raises(ConfigError):
             price(par, opt, g, solver="krylov", theta_mode="time_dependent")
+
+    def test_chebyshev_on_time_dependent_operator_rejected(self, par3):
+        opt = OptionSpec("call", 100.0, 0.25)
+        g = experiment_grid((6, 5, 4, 4))
+        with pytest.raises(ConfigError, match="solver 'chebyshev' requires a time-independent"):
+            price(par3, opt, g, solver="chebyshev", theta_mode="time_dependent")
+
+    @pytest.mark.parametrize("solver, kernel", [
+        ("auto", "chebyshev_expm_action"), ("chebyshev", "chebyshev_expm_action"),
+        ("krylov", "krylov_expm_action"),
+    ])
+    def test_solver_calls_its_kernel_through_the_module(self, par1, monkeypatch, solver,
+                                                         kernel):
+        # The table looks each kernel up in ``pricing`` when it runs, and
+        # passes Krylov's positional (A, v0, cfg): replacing the module
+        # attribute, as an outside tracer does, reaches the call.
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return np.zeros(args[0].shape[0])
+
+        monkeypatch.setattr(pricing, kernel, record)
+        cfg = KrylovConfig(dim=20)
+        g = experiment_grid((6, 5, 4, 4))
+        price(par1, OptionSpec("call", 100.0, 1.0), g, solver=solver, krylov=cfg)
+        (args, kwargs), = calls
+        assert args[0].shape == (g.n, g.n) and args[1].shape == (g.n,)
+        if kernel == "krylov_expm_action":
+            assert args[2] is cfg and kwargs == {"tau": 1.0}
+        else:
+            assert args[2:] == (1.0,) and kwargs == {}
 
     def test_midpoint_requires_delta_tau(self, par3):
         opt = OptionSpec("call", 100.0, 0.25)
@@ -154,7 +187,8 @@ class TestPriceSolutionBasics:
         monkeypatch.setattr(integrators, "BASIS_BUDGET_BYTES", 2**20)
         g = experiment_grid((6, 5, 4, 4))  # N = 480: dim 400 needs 1.5 MiB
         with pytest.raises(ConfigError) as err:
-            price(par1, OptionSpec("call", 100.0, 1.0), g, krylov=KrylovConfig(dim=400))
+            price(par1, OptionSpec("call", 100.0, 1.0), g, solver="krylov",
+                  krylov=KrylovConfig(dim=400))
         assert err.value.violations == integrators.krylov_dim_violations(400, g.n)
 
     @pytest.mark.parametrize("kind, boundary", [
@@ -223,7 +257,8 @@ class TestDeterministicLimit:
         )
         # the degenerate parameters trip the Feller advisory, by design
         with pytest.warns(UserWarning, match="Feller"):
-            f = price(par, opt, g, boundary="dirichlet", krylov=KrylovConfig(dim=400))
+            f = price(par, opt, g, solver="krylov", boundary="dirichlet",
+                      krylov=KrylovConfig(dim=400))
         # flat equal rates: s_T = s0, value = e^{-rT} (s0 - E)^+
         for s0 in (160.0, 250.0, 420.0):
             want = math.exp(-r * 1.0) * (s0 - 100.0)
@@ -302,8 +337,8 @@ class TestGreeks:
 
     def test_fd_baseline_field_uses_fd_matrices(self):
         f = price(experiment1_model(), OptionSpec("call", 100.0, 1.0),
-                  uniform_grid((10, 8, 6, 6), 1400.0), krylov=KrylovConfig(dim=400),
-                  fd_limit=True)
+                  uniform_grid((10, 8, 6, 6), 1400.0), solver="krylov",
+                  krylov=KrylovConfig(dim=400), fd_limit=True)
         g = f.grid
         rd, rf = g.rd_nodes[2], g.rf_nodes[3]
         want = self._differentiate(
