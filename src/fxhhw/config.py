@@ -10,15 +10,12 @@ from importlib import resources
 import yaml
 
 from .errors import ConfigError, GridDegeneracyError, InvalidArgumentError, ModelConfigError
-from .grids import (AXES, AXIS_BUILDERS, AxisSpec, Grid4D, build_grid, domain_box, outside,
-                    uniform_grid)
+from .grids import AXES, AXIS_BUILDERS, AxisSpec, Grid4D, build_grid, domain_box, outside
 from .integrators import krylov_dim_violations
 from .mc import McConfig
 from .model import CORRELATION_KEYS, ModelParams, OptionSpec, correlation_matrix
 from .operators import boundary_violations, theta_mode_violations, time_dependent_operator
 from .pricing import interpolation_violations, solver_violations
-
-METHODS = ("pm", "fdkm")
 
 
 @dataclass
@@ -44,7 +41,6 @@ class ExperimentConfig:
     xi_v: float = 50.0
     xi_rd: float = 500.0
     xi_rf: float = 500.0
-    method: str = "pm"
     solver: str = "auto"
     boundary: str = "dirichlet"
     theta_mode: str = "time_dependent"
@@ -53,20 +49,16 @@ class ExperimentConfig:
     interpolation: str = "cubic"
     queries: list = field(default_factory=list)
     mc: McConfig | None = None
-    seed: int = 0
     compute_lambda_max: bool = False
 
     def grid_settings(self):
-        """(m, method, box, focus, xi), the arguments of :func:`size_violations`."""
-        return (self.m, self.method, [getattr(self, key) for key in BOX_KEYS],
+        """(m, box, focus, xi), the arguments of :func:`size_violations`."""
+        return (self.m, [getattr(self, key) for key in BOX_KEYS],
                 (self.option.strike, self.model.v0, self.model.rd0, self.model.rf0),
                 [getattr(self, f"xi_{ax}") for ax in AXES])
 
     def grid(self) -> Grid4D:
-        m, method, box, focus, xi = self.grid_settings()
-        if method == "fdkm":
-            return uniform_grid(m, *box)
-        return build_grid(*(AxisSpec(*args) for args in _axis_args(m, box, focus, xi)))
+        return build_grid(*(AxisSpec(*args) for args in _axis_args(*self.grid_settings())))
 
     def with_m(self, m):
         return replace(self, m=tuple(int(x) for x in m))
@@ -87,39 +79,32 @@ def _axis_args(m, box, focus, xi):
             for mk, bounds, f, x in zip(m, domain_box(*box).values(), focus, xi)]
 
 
-def size_violations(krylov_dim, m, method, box, focus, xi):
+def size_violations(krylov_dim, m, box, focus, xi):
     """Every violation, named by its key, of the rules that depend on the axis
     sizes ``m``: the Krylov subspace rule and those of the builders
     ``ExperimentConfig.grid`` calls (box bounds in ``BOX_KEYS`` order, the
     focus and stretch of each axis in ``AXES`` order), each axis apart."""
     out = [f"solver.krylov_dim: {v}" for v in krylov_dim_violations(krylov_dim, math.prod(m))]
-    if method == "fdkm":
-        builds = [("grid", lambda: uniform_grid(m, *box))]
-    else:
-        builds = [(f"grid, {ax} axis (grid.m[{k}] = {args[0]})",
-                   lambda build=build, args=args: build(AxisSpec(*args)))
-                  for k, (ax, build, args) in enumerate(zip(AXES, AXIS_BUILDERS,
-                                                            _axis_args(m, box, focus, xi)))]
-    for where, build in builds:
+    for k, (ax, build, args) in enumerate(zip(AXES, AXIS_BUILDERS,
+                                              _axis_args(m, box, focus, xi))):
         try:
-            build()
+            build(AxisSpec(*args))
         except (InvalidArgumentError, GridDegeneracyError) as err:
-            out += [f"{where}: {v}" for v in err.violations]
+            out += [f"grid, {ax} axis (grid.m[{k}] = {args[0]}): {v}" for v in err.violations]
     return out
 
 
 # domain_box's arguments, in order.
 BOX_KEYS = ("s_max", "v_max", "r_min", "r_max")
 GRID_KEYS = ("m", *BOX_KEYS, "xi_s", "xi_v", "xi_rd", "xi_rf")
-SOLVER_KEYS = ("solver", "boundary", "theta_mode", "method", "interpolation",
-               "delta_tau", "krylov_dim")
+SOLVER_KEYS = ("solver", "boundary", "theta_mode", "interpolation", "delta_tau",
+               "krylov_dim")
 # The model keys set ModelParams' float fields; those in MODEL_DEFAULTS may be unset.
 MODEL_SCALARS = tuple(f.name for f in fields(ModelParams) if f.type == "float")
 MODEL_DEFAULTS = {"rd0": 0.0, "rf0": 0.0, "lambda_d": 0.0, "lambda_f": 0.0}
 # The keys from_dict reads, per entry; any other key is a violation.
 KNOWN_KEYS = {
-    "": ("name", "model", "option", "grid", "solver", "queries", "mc", "seed",
-         "compute_lambda_max"),
+    "": ("name", "model", "option", "grid", "solver", "queries", "mc", "compute_lambda_max"),
     "model": (*MODEL_SCALARS, "theta_d", "theta_f", "correlation"),
     "model.correlation": CORRELATION_KEYS,
     "option": tuple(f.name for f in fields(OptionSpec)),
@@ -252,8 +237,6 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     sol = {key: typed(sd, "solver", ExperimentConfig, key, getattr(ExperimentConfig, key))
            for key in SOLVER_KEYS}
     violations += theta_mode_violations(sol["theta_mode"])
-    if sol["method"] not in METHODS:
-        violations.append(f"method must be one of {METHODS}, got {sol['method']!r}")
     violations += interpolation_violations(sol["interpolation"])
     time_dependent = None not in (theta_d, theta_f) and time_dependent_operator(
         sol["theta_mode"], theta_d, theta_f)
@@ -264,12 +247,10 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
                                         option and option.maturity)
     violations += boundary_violations(sol["boundary"], opt["kind"])
 
-    seed, compute_lambda_max = (typed(raw, "", ExperimentConfig, key,
-                                      getattr(ExperimentConfig, key))
-                                for key in ("seed", "compute_lambda_max"))
-    mc_cfg = build("mc", McConfig, **{"seed": seed, **{
-        key: typed(mcd, "mc", McConfig, key) for key in mcd if key in KNOWN_KEYS["mc"]}}
-    ) if mcd else None
+    compute_lambda_max = typed(raw, "", ExperimentConfig, "compute_lambda_max",
+                               ExperimentConfig.compute_lambda_max)
+    mc = {key: typed(mcd, "mc", McConfig, key) for key in mcd if key in KNOWN_KEYS["mc"]}
+    mc_cfg = build("mc", McConfig, **mc) if mcd else None
 
     queries = [QueryPoint(point=convert(q.get("point"), f"queries[{i}].point",
                                         _items(_strict(float), 4), "four numbers (s, v, rd, rf)"),
@@ -283,13 +264,13 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     focus = (opt["strike"], params["v0"], params["rd0"], params["rf0"])
     xi = [grid[f"xi_{ax}"] for ax in AXES]
     if None not in (m, *box, *focus, *xi):
-        violations += size_violations(sol["krylov_dim"], m, sol["method"], box, focus, xi)
+        violations += size_violations(sol["krylov_dim"], m, box, focus, xi)
 
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(
         name=raw.get("name", name), model=model, option=option, m=m, **grid, **sol,
-        queries=queries, mc=mc_cfg, seed=seed, compute_lambda_max=compute_lambda_max,
+        queries=queries, mc=mc_cfg, compute_lambda_max=compute_lambda_max,
     )
 
 

@@ -85,8 +85,10 @@ class KrylovConfig:
     1e-14 * ||A||_1, and otherwise once the residual estimate, computed every
     ``check_every`` steps, meets ``tol``.  ``dim=None`` caps the subspace at
     the largest basis that fits ``BASIS_BUDGET_BYTES``; an explicit ``dim``
-    whose basis does not fit is refused.  ``tol`` must be positive (``inf``
-    accepts whatever the cap yields) and ``check_every`` at least 1.
+    whose basis does not fit is refused.  ``tol`` must be positive and
+    ``check_every`` at least 1.  ``tol=inf`` stops at the first residual
+    check, after ``check_every`` steps; to build the basis up to the cap,
+    also set ``check_every`` at or above ``dim``.
     """
 
     dim: int | None = None
@@ -109,6 +111,21 @@ def _as_csr(A):
     return sp.csr_matrix(np.asarray(A, dtype=float))
 
 
+def _expm_operands(A, v, tau):
+    """(A as CSR, v as a flat float vector) for exp(tau*A) @ v, after the
+    operand rules both exp-actions share: v has A's row count, 0 < tau < inf,
+    and A and v are finite."""
+    A = _as_csr(A)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] != A.shape[0]:
+        raise InvalidArgumentError("dimension mismatch between A and v")
+    if not 0 < tau < math.inf:
+        raise InvalidArgumentError(f"horizon must be positive and finite, got {tau}")
+    if not (np.isfinite(v).all() and np.isfinite(A.data).all()):
+        raise InvalidArgumentError("A and v must be finite")
+    return A, v
+
+
 def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     """Approximate exp(tau*A) @ v0 with an Arnoldi-projected exponential.
 
@@ -121,21 +138,17 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     breakdown rule of a single solve.  Early breakdown (h_{j+1,j} below
     threshold) truncates the basis and yields the exact action.  If the
     subspace cap is reached while the residual estimate still exceeds the
-    tolerance, raises instead of returning silently.
+    tolerance, raises instead of returning silently.  A zero ``v0`` returns
+    zeros; a non-finite ``A`` or ``v0`` is refused.
     """
     cfg = cfg or KrylovConfig()
-    A = _as_csr(A)
+    A, v0 = _expm_operands(A, v0, tau)
     n = A.shape[0]
-    v0 = np.asarray(v0, dtype=float).reshape(-1)
-    if v0.shape[0] != n:
-        raise InvalidArgumentError("dimension mismatch between A and v0")
-    if float(np.linalg.norm(v0)) == 0.0:
-        raise InvalidArgumentError("initial vector must be nonzero")
-    if not 0 < tau < math.inf:
-        raise InvalidArgumentError(f"horizon must be positive and finite, got {tau}")
     violations = krylov_dim_violations(cfg.dim, n)
     if violations:
         raise InvalidArgumentError(violations[0])
+    if not v0.any():
+        return np.zeros(n)
     dim = cfg.dim
     if dim is None:
         dim = max(1, min(n, BASIS_BUDGET_BYTES // (8 * n) - 1))
@@ -222,15 +235,8 @@ def chebyshev_expm_action(A, v, tau=1.0):
     rounding indicator refuses the sum when they do not.  A zero ``v``
     returns zeros; a non-finite ``A`` or ``v`` is refused.
     """
-    A = _as_csr(A)
+    A, v = _expm_operands(A, v, tau)
     n = A.shape[0]
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != n:
-        raise InvalidArgumentError("dimension mismatch between A and v")
-    if not 0 < tau < math.inf:
-        raise InvalidArgumentError(f"horizon must be positive and finite, got {tau}")
-    if not (np.isfinite(v).all() and np.isfinite(A.data).all()):
-        raise InvalidArgumentError("A and v must be finite")
     if not v.any():
         return np.zeros(n)
     lo, norm = _gershgorin_lo_and_norm(A)

@@ -22,7 +22,7 @@ from .model import ModelParams, OptionSpec
 
 CHOLESKY_SHIFT_TOL = 1e-10
 
-# Paths simulated per batch; even, so an antithetic batch splits in halves.
+# Paths simulated per batch.
 BATCH_SIZE = 50_000
 
 
@@ -31,13 +31,10 @@ class McConfig:
     paths: int = 200_000
     steps_per_year: int = 200
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self):
         violations = [f"{name} must be >= 1, got {getattr(self, name)}"
                       for name in ("paths", "steps_per_year") if not getattr(self, name) >= 1]
-        if self.antithetic and self.paths % 2:
-            violations.append("antithetic sampling needs an even path count")
         if violations:
             raise InvalidArgumentError(violations)
 
@@ -62,10 +59,8 @@ def _chol(R):
         return np.linalg.cholesky(R + shift * np.eye(4))
 
 
-def _simulate_batch(model, option, n, steps, dt, L, rng, antithetic, estimator):
+def _simulate_batch(model, option, n, steps, dt, L, rng, estimator):
     """Simulate one batch; returns per-path contributions."""
-    if antithetic:
-        half = n // 2
     x = np.full(n, np.log(model.s0))
     v = np.full(n, model.v0)
     rd = np.full(n, model.rd0)
@@ -76,10 +71,7 @@ def _simulate_batch(model, option, n, steps, dt, L, rng, antithetic, estimator):
     sqdt = sqrt(dt)
     for k in range(steps):
         t = k * dt
-        z = rng.standard_normal((4, half if antithetic else n))
-        if antithetic:
-            z = np.concatenate([z, -z], axis=1)
-        dw = (L @ z) * sqdt
+        dw = (L @ rng.standard_normal((4, n))) * sqdt
         vp = np.maximum(v, 0.0)
         sq = np.sqrt(vp)
         disc += 0.5 * dt * rd
@@ -114,23 +106,18 @@ def _run(model, option, cfg, estimator):
     done = 0
     while done < cfg.paths:
         n = min(BATCH_SIZE, cfg.paths - done)
-        samples = _simulate_batch(
-            model, option, n, steps, dt, L, rng, cfg.antithetic, estimator
-        )
-        if cfg.antithetic:
-            half = n // 2
-            samples = 0.5 * (samples[:half] + samples[half:])
+        samples = _simulate_batch(model, option, n, steps, dt, L, rng, estimator)
         total += float(np.sum(samples))
         total_sq += float(np.sum(samples * samples))
         done += n
-    n_eff = cfg.paths // 2 if cfg.antithetic else cfg.paths
-    mean = total / n_eff
-    if n_eff > 1:
-        var = max(total_sq - n_eff * mean * mean, 0.0) / (n_eff - 1)
-        stderr = sqrt(var / n_eff)
+    paths = cfg.paths
+    mean = total / paths
+    if paths > 1:
+        var = max(total_sq - paths * mean * mean, 0.0) / (paths - 1)
+        stderr = sqrt(var / paths)
     else:
         stderr = 0.0
-    return McEstimate(price=mean, stderr=stderr, paths=cfg.paths)
+    return McEstimate(price=mean, stderr=stderr, paths=paths)
 
 
 def simulate_price(model: ModelParams, option: OptionSpec, cfg: McConfig) -> McEstimate:

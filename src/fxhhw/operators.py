@@ -29,12 +29,10 @@ from .grids import AXES, Grid4D, checked_steps
 from .model import ModelParams, OptionSpec
 from .stencils import ShapeParameterWarning
 
-# mode -> (faces pinned at the payoff, faces replaced by the one-sided
-# second-derivative row); both in corner precedence s > v > rd > rf.
+# mode -> faces pinned at the payoff.
 BOUNDARY_MODES = {
-    "dirichlet": (("s_lo", "s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi"), ()),
-    "neumann_flux": (("s_lo",), ("s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi")),
-    "abc": ((), ()),
+    "dirichlet": ("s_lo", "s_hi", "v_hi", "rd_lo", "rd_hi", "rf_lo", "rf_hi"),
+    "abc": (),
 }
 THETA_MODES = ("time_dependent", "constant_approx")
 
@@ -62,7 +60,7 @@ def boundary_violations(mode, kind):
     names = tuple(BOUNDARY_MODES)
     if mode not in names:
         return [f"boundary must be one of {names}, got {mode!r}"]
-    if "s_lo" in BOUNDARY_MODES[mode][0] and kind == "put":
+    if "s_lo" in BOUNDARY_MODES[mode] and kind == "put":
         return [f"boundary mode {mode!r} pins s=0 at the payoff, which is wrong for a "
                 "put whose s=0 value decays with the domestic discount; use mode 'abc'"]
     return []
@@ -222,8 +220,8 @@ class AssembledOperator:
     """The N x N spatial operator, split into theta-independent and theta parts.
 
     ``theta_parts`` is (Bd, Bf), or None once the levels are folded into
-    ``base``.  ``d1`` and ``d2`` hold the per-axis 1D first- and second-
-    derivative matrices the operator was assembled from (no boundary rows).
+    ``base``.  ``d1`` holds the per-axis 1D first-derivative matrices the
+    operator was assembled from (no boundary rows).
     """
 
     base: sp.csr_matrix
@@ -231,7 +229,6 @@ class AssembledOperator:
     grid: Grid4D
     params: ModelParams
     d1: dict[str, sp.csr_matrix]
-    d2: dict[str, sp.csr_matrix]
     pinned: np.ndarray | None = None
 
     @property
@@ -298,8 +295,7 @@ def assemble_operator(
         functools.reduce(operator.add, (_kron_term(a, f, grid) for a, f in rows))
         for rows in _term_table(grid, params, D1, D2).values()
     )
-    op = AssembledOperator(base=base, theta_parts=(Bd, Bf), grid=grid, params=params,
-                           d1=D1, d2=D2)
+    op = AssembledOperator(base=base, theta_parts=(Bd, Bf), grid=grid, params=params, d1=D1)
     if not time_dependent_operator(theta_mode, params.theta_d_params, params.theta_f_params):
         op = dataclasses.replace(op, base=op.matrix(1.0), theta_parts=None)
     if not np.all(np.isfinite(op.base.data)):
@@ -312,52 +308,33 @@ def _zero_rows(A, mask):
     return (keep @ A).tocsr()
 
 
-def _replace_rows(A, mask, B):
-    keep = sp.diags((~mask).astype(float))
-    put = sp.diags(mask.astype(float))
-    return (keep @ A + put @ B).tocsr()
-
-
 def impose_boundaries(
     op: AssembledOperator, mode, option: OptionSpec
 ) -> AssembledOperator:
-    """Impose the boundary rows of ``BOUNDARY_MODES[mode]``; returns a new operator.
+    """Pin the faces of ``BOUNDARY_MODES[mode]``; returns a new operator.
 
     ``dirichlet``
         every outer face except v=0 is pinned at its initial (payoff) value:
         the row is zeroed and the state carries the value.  v=0 keeps the
         degenerate PDE row (no condition needed under the Feller regime).
-    ``neumann_flux``
-        s=0 pinned; s_max / v_max / rate faces replaced by the one-sided
-        second-derivative rows (V_ss = 0, V_vv = 0, V_rr = 0 style); v=0
-        keeps the degenerate PDE row.
     ``abc``
-        no replacement: the PDE itself, discretized with the one-sided
+        nothing pinned: the PDE itself, discretized with the one-sided
         boundary rows of the differentiation matrices, holds on every face.
 
-    Calls are singular by construction in the pinned modes (zero rows).
-    Overlapping faces at corners resolve with precedence s > v > rd > rf.
+    The operator is singular by construction under ``dirichlet`` (zero rows).
     """
     violations = boundary_violations(mode, option.kind)
     if violations:
         raise ConfigError(violations)
 
-    pin_faces, flux_faces = BOUNDARY_MODES[mode]
     masks = face_masks(op.grid)
     base, parts = op.base, op.theta_parts
     pinned = np.zeros(op.n, dtype=bool)
-    for face in pin_faces:
+    for face in BOUNDARY_MODES[mode]:
         pinned |= masks[face]
     if pinned.any():
         base = _zero_rows(base, pinned)
-    taken = pinned.copy()
-    d2 = {ax: _kron_term(1.0, {ax: op.d2[ax]}, op.grid)
-          for ax in {face.split("_")[0] for face in flux_faces}}
-    for face in flux_faces:
-        rows = masks[face] & ~taken
-        base = _replace_rows(base, rows, d2[face.split("_")[0]])
-        taken |= rows
-    if taken.any() and parts is not None:
-        parts = tuple(_zero_rows(B, taken) for B in parts)
+        if parts is not None:
+            parts = tuple(_zero_rows(B, pinned) for B in parts)
 
     return dataclasses.replace(op, base=base, theta_parts=parts, pinned=pinned)

@@ -228,6 +228,8 @@ def price(
     rule on N (:func:`~fxhhw.integrators.krylov_dim_violations`) are checked
     before anything is assembled.  The initial condition is the raw
     (unsmoothed) payoff.  The returned field carries the operator it solved.
+    ``fd_limit=True`` assembles with classical FD weights: on a
+    :func:`~fxhhw.grids.uniform_grid`, the FD baseline scheme.
     """
     time_dependent = operators.time_dependent_operator(
         theta_mode, model.theta_d_params, model.theta_f_params

@@ -102,7 +102,6 @@ def solve_field(cfg: ExperimentConfig) -> SolutionField:
         theta_mode=cfg.theta_mode,
         delta_tau=cfg.delta_tau,
         krylov=KrylovConfig(dim=cfg.krylov_dim),
-        fd_limit=(cfg.method == "fdkm"),
     )
 
 

@@ -41,7 +41,6 @@ def tiny_config_dict():
             {"point": [100.0, 0.04, 0.024, 0.024], "reference": 8.420, "label": "V1"},
             {"point": [100.0, 0.04, 0.1, 0.1], "reference": 7.888, "label": "V2"},
         ],
-        "seed": 3,
     }
 
 
@@ -54,12 +53,11 @@ class TestConfigParsing:
 
     def test_unset_keys_take_defaults(self):
         raw = tiny_config_dict()
-        raw["seed"] = 7
-        raw["mc"] = {"paths": 100, "antithetic": True}
+        raw["mc"] = {"paths": 100}
         raw["grid"] = {"m": [8, 6, 6, 6], "v_max": 5}
         raw["solver"] = {"krylov_dim": 40.0}
         cfg = from_dict(raw)
-        assert cfg.mc == McConfig(paths=100, steps_per_year=200, seed=7, antithetic=True)
+        assert cfg.mc == McConfig(paths=100, steps_per_year=200, seed=0)
         assert (cfg.s_max, cfg.v_max, cfg.xi_s, cfg.r_min) == (1400.0, 5.0, 0.1, -1.0)
         assert (cfg.solver, cfg.boundary, cfg.delta_tau, cfg.krylov_dim) == (
             "auto", "dirichlet", None, 40)
@@ -115,15 +113,18 @@ class TestConfigParsing:
         raw["grid"]["xi"] = 1.0
         raw["solver"]["bondary"] = "abc"
         raw["solver"]["krylov_tol"] = 1e-9
-        raw["mc"] = {"paths": 100, "sed": 1}
+        raw["solver"]["method"] = "fdkm"
+        raw["mc"] = {"paths": 100, "sed": 1, "antithetic": True}
+        raw["seed"] = 3
         raw["queries"][1]["ref"] = 7.888
         with pytest.raises(ConfigError) as err:
             from_dict(raw)
         assert err.value.violations == [
-            "unknown key extra", "unknown key model.kapa",
+            "unknown key extra", "unknown key seed", "unknown key model.kapa",
             "unknown key model.correlation.ds", "unknown key option.strik",
             "unknown key grid.xi", "unknown key solver.bondary",
-            "unknown key solver.krylov_tol", "unknown key mc.sed",
+            "unknown key solver.krylov_tol", "unknown key solver.method",
+            "unknown key mc.sed", "unknown key mc.antithetic",
             "unknown key queries[1].ref",
         ]
 
@@ -199,12 +200,11 @@ class TestConfigParsing:
         raw = tiny_config_dict()
         raw["grid"]["m"] = [8.0, 6, 6, 6]
         raw["solver"]["krylov_dim"] = 40.0
-        raw["seed"] = 7.0
-        raw["mc"] = {"paths": 100.0}
+        raw["mc"] = {"paths": 100.0, "seed": 7.0}
         cfg = from_dict(raw)
-        assert cfg.m == (8, 6, 6, 6) and cfg.krylov_dim == 40 and cfg.seed == 7
+        assert cfg.m == (8, 6, 6, 6) and cfg.krylov_dim == 40
         assert cfg.mc == McConfig(paths=100, seed=7)
-        assert all(type(x) is int for x in (*cfg.m, cfg.krylov_dim, cfg.seed, cfg.mc.paths))
+        assert all(type(x) is int for x in (*cfg.m, cfg.krylov_dim, cfg.mc.seed, cfg.mc.paths))
 
     def test_owner_rules_reported_under_their_section(self):
         raw = tiny_config_dict()
@@ -463,20 +463,16 @@ class TestCli:
          "config error: grid, rf axis (grid.m[3] = 6): rate axis needs r_min < r0 < r_max, "
          "got focus 0.1"),
         ("grid", "m", [8.9, 6, 6, 6], "grid.m must be four sizes >= 4, got [8.9, 6, 6, 6]"),
-        ("", "seed", 3.5, "seed must be an integer, got 3.5"),
         ("mc", "paths", 100.7, "mc.paths must be an integer, got 100.7"),
         ("mc", "steps_per_year", True, "mc.steps_per_year must be an integer, got True"),
-        ("mc", "antithetic", "false",
-         "mc.antithetic must be a boolean (true or false), got 'false'"),
         ("", "compute_lambda_max", "no",
          "compute_lambda_max must be a boolean (true or false), got 'no'"),
         ("model", "theta_d", [0.05, 0.0, -800.0],
          "model.theta_d_params must be finite with a3 >= 0, got (0.05, 0.0, -800.0)"),
         ("model", "theta_f", [float("nan"), 0.0, 0.0],
          "model.theta_f_params must be finite with a3 >= 0, got (nan, 0.0, 0.0)"),
-    ], ids=["xi_s", "s_max", "v_max", "r_max", "m-fraction", "seed", "mc-paths",
-            "mc-steps-bool", "mc-antithetic-str", "lambda-max-str", "theta-a3-negative",
-            "theta-nan"])
+    ], ids=["xi_s", "s_max", "v_max", "r_max", "m-fraction", "mc-paths",
+            "mc-steps-bool", "lambda-max-str", "theta-a3-negative", "theta-nan"])
     def test_load_time_rule_exit_two(self, tmp_path, capsys, monkeypatch, entry, key, value,
                                      message):
         def no_solve(*args, **kwargs):

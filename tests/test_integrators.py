@@ -198,10 +198,6 @@ class TestKrylovExpmAction:
         want = scipy.linalg.expm(A.toarray()) @ v
         assert np.linalg.norm(out - want) / np.linalg.norm(want) < 1e-10
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            krylov_expm_action(sp.identity(5).tocsr(), np.zeros(5))
-
     def test_dim_clamped_with_warning(self, rng):
         A = sp.diags(-np.ones(8)).tocsr()
         with pytest.warns(UserWarning, match="clamped"):
@@ -358,6 +354,25 @@ class TestChebyshevExpmAction:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.stdout.strip() == "False", done.stderr
+
+
+@pytest.mark.parametrize("action", [krylov_expm_action, chebyshev_expm_action],
+                         ids=["krylov", "chebyshev"])
+@pytest.mark.parametrize("case", ["nan-in-v", "inf-in-A", "zero-v"])
+def test_expm_action_operand_rules(rng, action, case):
+    # One operand check for both exp-actions: a non-finite A or v is refused
+    # before any work, and a zero v maps to zeros.
+    A = random_stable_sparse(rng, n=200, density=0.05)
+    v = rng.standard_normal(200)
+    if case == "zero-v":
+        np.testing.assert_array_equal(action(A, np.zeros(200), tau=2.0), np.zeros(200))
+        return
+    if case == "nan-in-v":
+        v[17] = np.nan
+    else:
+        A.data[5] = np.inf
+    with pytest.raises(InvalidArgumentError, match="A and v must be finite"):
+        action(A, v, tau=2.0)
 
 
 class TestMidpointConfig:

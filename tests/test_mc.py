@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fxhhw.errors import InvalidArgumentError, ModelConfigError
-from fxhhw.mc import McConfig, pathwise_delta, simulate_price
+from fxhhw.mc import BATCH_SIZE, McConfig, pathwise_delta, simulate_price
 from fxhhw.model import ModelParams, OptionSpec
 from conftest import experiment1_model
 
@@ -35,16 +35,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgumentError):
             McConfig(paths=0)
 
-    def test_antithetic_needs_even_paths(self):
-        with pytest.raises(InvalidArgumentError):
-            McConfig(paths=101, antithetic=True)
-
     def test_every_failing_rule_reported_in_one_raise(self):
         with pytest.raises(InvalidArgumentError) as err:
-            McConfig(paths=-1, steps_per_year=0, antithetic=True)
+            McConfig(paths=-1, steps_per_year=0)
         assert err.value.violations == [
             "paths must be >= 1, got -1", "steps_per_year must be >= 1, got 0",
-            "antithetic sampling needs an even path count",
         ]
 
 
@@ -74,6 +69,14 @@ class TestReproducibility:
         a = simulate_price(par1, opt, cfg)
         b = simulate_price(par1, opt, cfg)
         assert a.price == b.price and a.stderr == b.stderr
+
+    def test_two_batch_run_pinned_bitwise(self, par1):
+        # 60,000 paths span two batches (BATCH_SIZE = 50,000); the literals
+        # fix the draws, their order and the batch reduction.
+        assert BATCH_SIZE < 60_000
+        est = simulate_price(par1, OptionSpec("call", 100.0, 1.0),
+                             McConfig(paths=60_000, steps_per_year=50, seed=123))
+        assert (est.price, est.stderr) == (7.883383502454358, 0.050359478871287874)
 
     def test_different_seed_differs(self, par1):
         opt = OptionSpec("call", 100.0, 1.0)
@@ -120,14 +123,6 @@ class TestStatisticalProperties:
         opt = OptionSpec("call", 1e-9, 1.0)  # payoff ~ s_T
         est = simulate_price(model, opt, McConfig(paths=100_000, steps_per_year=100, seed=5))
         assert abs(est.price - model.s0) <= 3.0 * est.stderr
-
-    def test_antithetic_reduces_se(self, par1):
-        opt = OptionSpec("call", 100.0, 1.0)
-        plain = simulate_price(par1, opt, McConfig(paths=40_000, steps_per_year=50, seed=6))
-        anti = simulate_price(
-            par1, opt, McConfig(paths=40_000, steps_per_year=50, seed=6, antithetic=True)
-        )
-        assert anti.stderr < plain.stderr
 
     def test_deep_otm_delta_vanishes(self, par1):
         model = ModelParams(**{**par1.__dict__, "s0": 10.0})

@@ -487,21 +487,6 @@ class TestImposeBoundaries:
         A = op.matrix(0.0).toarray()
         assert np.linalg.matrix_rank(A) < g.n
 
-    def test_neumann_rows_are_pure_second_derivative(self, par1, call_1y):
-        g = small_grid()
-        op = impose_boundaries(assemble_operator(g, par1), "neumann_flux", call_1y)
-        masks = face_masks(g)
-        A = op.matrix(0.0).tocsr()
-        # an s_hi node away from other faces carries the one-sided V_ss pair
-        m1, m2, m3, m4 = g.shape
-        node = (m1 - 1) + m1 * (2 + m2 * (1 + m3 * 1))
-        assert masks["s_hi"][node]
-        row = A[node].toarray().ravel()
-        nz = np.flatnonzero(row)
-        np.testing.assert_array_equal(nz, [node - 1, node])
-        c = shape_parameters(g)["s"]
-        np.testing.assert_allclose(row[nz], [-4 / c**2, 2 / c**2], rtol=1e-12)
-
     def test_abc_keeps_all_rows(self, par1, put_2y):
         g = small_grid()
         op0 = assemble_operator(g, par1)
@@ -509,11 +494,10 @@ class TestImposeBoundaries:
         assert not op.pinned.any()
         assert (op.matrix(0.0) != op0.matrix(0.0)).nnz == 0
 
-    @pytest.mark.parametrize("mode", ["dirichlet", "neumann_flux", "abc"])
+    @pytest.mark.parametrize("mode", ["dirichlet", "abc"])
     def test_theta_parts_follow_the_boundary_rows(self, par3, mode):
-        # Every outer face but v=0 is pinned (dirichlet) or pinned/replaced
-        # (neumann_flux): A(tau) there is the boundary row alone at every tau.
-        # abc keeps the PDE rows, theta entries included.
+        # Every outer face but v=0 is pinned (dirichlet): A(tau) there is the
+        # zero row at every tau.  abc keeps the PDE rows, theta entries included.
         g = small_grid()
         op0 = assemble_operator(g, par3)
         op = impose_boundaries(op0, mode, OptionSpec("call", 100.0, 0.25))
@@ -531,13 +515,14 @@ class TestImposeBoundaries:
     def test_put_with_pinning_mode_rejected(self, par1, put_2y):
         g = small_grid()
         op = assemble_operator(g, par1)
-        for mode in ("dirichlet", "neumann_flux"):
-            with pytest.raises(ConfigError):
-                impose_boundaries(op, mode, put_2y)
+        with pytest.raises(ConfigError, match="pins s=0"):
+            impose_boundaries(op, "dirichlet", put_2y)
 
     def test_unknown_mode_rejected(self, par1, call_1y):
-        with pytest.raises(ConfigError):
-            impose_boundaries(assemble_operator(small_grid(), par1), "robin", call_1y)
+        op = assemble_operator(small_grid(), par1)
+        for mode in ("robin", "neumann_flux"):
+            with pytest.raises(ConfigError, match="boundary must be one of"):
+                impose_boundaries(op, mode, call_1y)
 
 
 class TestSpectralDiagnosticsOnBenchmarkGrid:
