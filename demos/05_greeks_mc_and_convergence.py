@@ -71,7 +71,7 @@ vals = []
 for m1 in (8, 16, 32, 64):
     f = price(model, option, make_grid(m1, 8, 6, 6), solver="krylov",
               boundary="dirichlet",
-              krylov=KrylovConfig(dim=1200, tol=1e-11, check_every=25))
+              krylov=KrylovConfig(dim=1200, tol=1e-11))
     vals.append(f.interpolate((100.0, 0.04, 0.1, 0.1), "cubic"))
     print(f"  m1={m1:4d}: V2={vals[-1]:.6f}")
 for k in range(2, len(vals)):

@@ -11,7 +11,6 @@ import yaml
 
 from .errors import ConfigError, GridDegeneracyError, InvalidArgumentError, ModelConfigError
 from .grids import AXES, AXIS_BUILDERS, AxisSpec, Grid4D, build_grid, domain_box, outside
-from .integrators import krylov_dim_violations
 from .mc import McConfig
 from .model import CORRELATION_KEYS, ModelParams, OptionSpec, correlation_matrix
 from .operators import boundary_violations, theta_mode_violations, time_dependent_operator
@@ -79,12 +78,12 @@ def _axis_args(m, box, focus, xi):
             for mk, bounds, f, x in zip(m, domain_box(*box).values(), focus, xi)]
 
 
-def size_violations(krylov_dim, m, box, focus, xi):
-    """Every violation, named by its key, of the rules that depend on the axis
-    sizes ``m``: the Krylov subspace rule and those of the builders
-    ``ExperimentConfig.grid`` calls (box bounds in ``BOX_KEYS`` order, the
-    focus and stretch of each axis in ``AXES`` order), each axis apart."""
-    out = [f"solver.krylov_dim: {v}" for v in krylov_dim_violations(krylov_dim, math.prod(m))]
+def size_violations(m, box, focus, xi):
+    """Every violation, named by its key, of the rules of the axis builders
+    ``ExperimentConfig.grid`` calls on the axis sizes ``m`` (box bounds in
+    ``BOX_KEYS`` order, the focus and stretch of each axis in ``AXES``
+    order), each axis apart."""
+    out = []
     for k, (ax, build, args) in enumerate(zip(AXES, AXIS_BUILDERS,
                                               _axis_args(m, box, focus, xi))):
         try:
@@ -240,11 +239,14 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     violations += interpolation_violations(sol["interpolation"])
     time_dependent = None not in (theta_d, theta_f) and time_dependent_operator(
         sol["theta_mode"], theta_d, theta_f)
-    # An unconvertible delta_tau is reported already; the rules would only
-    # repeat it as missing.  An invalid option skips the maturity check.
-    if sd.get("delta_tau") is None or sol["delta_tau"] is not None:
-        violations += solver_violations(sol["solver"], time_dependent, sol["delta_tau"],
-                                        option and option.maturity)
+    # An unconvertible delta_tau is reported already; the step rule would
+    # only repeat it as missing.  An invalid option skips the maturity check,
+    # an invalid grid.m the Krylov basis budget.
+    dt_reported = sd.get("delta_tau") is not None and sol["delta_tau"] is None
+    violations += [v for v in solver_violations(
+                       sol["solver"], time_dependent, sol["delta_tau"],
+                       option and option.maturity, sol["krylov_dim"], m and math.prod(m))
+                   if not (dt_reported and v.startswith("solver.delta_tau"))]
     violations += boundary_violations(sol["boundary"], opt["kind"])
 
     compute_lambda_max = typed(raw, "", ExperimentConfig, "compute_lambda_max",
@@ -264,7 +266,7 @@ def from_dict(raw: dict, name="experiment") -> ExperimentConfig:
     focus = (opt["strike"], params["v0"], params["rd0"], params["rf0"])
     xi = [grid[f"xi_{ax}"] for ax in AXES]
     if None not in (m, *box, *focus, *xi):
-        violations += size_violations(sol["krylov_dim"], m, box, focus, xi)
+        violations += size_violations(m, box, focus, xi)
 
     if violations:
         raise ConfigError(violations)

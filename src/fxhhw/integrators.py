@@ -39,6 +39,10 @@ BASIS_BUDGET_BYTES = 2**30
 # Solve times on experiment 1 and the criterion-4 rungs are flat from 1000 to
 # 2000 and rise above; the best value follows the stencil density, not N or T.
 SUBSTEP_NORM = 1000.0
+# Arnoldi steps between residual checks.  Each check exponentiates the
+# Hessenberg matrix: on experiment 1 (2 cores) a cadence of 2 took 17.6 s
+# against 14.0-14.8 s at 10.
+CHECK_EVERY = 10
 # Arnoldi steps of the Ritz run that estimates the right end of the spectrum
 # for the Chebyshev action.
 RITZ_STEPS = 30
@@ -79,28 +83,23 @@ def midpoint_step_violations(delta_tau, horizon=None):
 
 @dataclass
 class KrylovConfig:
-    """Arnoldi settings: subspace cap, residual tolerance and check interval.
+    """Arnoldi settings: subspace cap and residual tolerance.
 
     The Arnoldi process stops early (exactly) once h_{j+1,j} falls to
     1e-14 * ||A||_1, and otherwise once the residual estimate, computed every
-    ``check_every`` steps, meets ``tol``.  ``dim=None`` caps the subspace at
-    the largest basis that fits ``BASIS_BUDGET_BYTES``; an explicit ``dim``
-    whose basis does not fit is refused.  ``tol`` must be positive and
-    ``check_every`` at least 1.  ``tol=inf`` stops at the first residual
-    check, after ``check_every`` steps; to build the basis up to the cap,
-    also set ``check_every`` at or above ``dim``.
+    ``CHECK_EVERY`` steps and at the cap, meets ``tol``.  ``dim=None`` caps
+    the subspace at the largest basis that fits ``BASIS_BUDGET_BYTES``; an
+    explicit ``dim`` whose basis does not fit is refused.  ``tol`` must be
+    positive and finite.
     """
 
     dim: int | None = None
     tol: float = 1e-9
-    check_every: int = 10
 
     def __post_init__(self):
         violations = krylov_dim_violations(self.dim)
-        if not self.tol > 0:
-            violations.append(f"Krylov tol must be positive, got {self.tol}")
-        if not self.check_every >= 1:
-            violations.append(f"Krylov check_every must be >= 1, got {self.check_every}")
+        if not 0 < self.tol < math.inf:
+            violations.append(f"Krylov tol must be positive and finite, got {self.tol}")
         if violations:
             raise InvalidArgumentError(violations)
 
@@ -111,14 +110,20 @@ def _as_csr(A):
     return sp.csr_matrix(np.asarray(A, dtype=float))
 
 
+def _vector_operand(v, n):
+    """``v`` as a flat float vector of ``n`` entries, or InvalidArgumentError."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] != n:
+        raise InvalidArgumentError("dimension mismatch between A and v")
+    return v
+
+
 def _expm_operands(A, v, tau):
     """(A as CSR, v as a flat float vector) for exp(tau*A) @ v, after the
     operand rules both exp-actions share: v has A's row count, 0 < tau < inf,
     and A and v are finite."""
     A = _as_csr(A)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != A.shape[0]:
-        raise InvalidArgumentError("dimension mismatch between A and v")
+    v = _vector_operand(v, A.shape[0])
     if not 0 < tau < math.inf:
         raise InvalidArgumentError(f"horizon must be positive and finite, got {tau}")
     if not (np.isfinite(v).all() and np.isfinite(A.data).all()):
@@ -159,7 +164,7 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     substeps = max(1, math.ceil(tau * norm / SUBSTEP_NORM))
     w = v0
     for _ in range(substeps):
-        w = _arnoldi_expm(A, w, dim, tau / substeps, 1e-14 * norm, cfg)
+        w = _arnoldi_expm(A, w, dim, tau / substeps, 1e-14 * norm, cfg.tol)
     return w
 
 
@@ -181,8 +186,9 @@ def _arnoldi_step(A, V, HT, j):
     return w, hnext
 
 
-def _arnoldi_expm(A, v0, dim, scale, btol, cfg):
-    """exp(scale*A) @ v0 from at most ``dim`` Arnoldi steps on A."""
+def _arnoldi_expm(A, v0, dim, scale, btol, tol):
+    """exp(scale*A) @ v0 from at most ``dim`` Arnoldi steps on A, to the
+    residual tolerance ``tol``."""
     beta = float(np.linalg.norm(v0))
     if beta == 0.0:
         # An earlier short solve underflowed to zero, and exp(scale*A) 0 = 0.
@@ -202,10 +208,10 @@ def _arnoldi_expm(A, v0, dim, scale, btol, cfg):
             used, residual, expH = j + 1, 0.0, None
             break
         V[j + 1] = w / hnext
-        if (j + 1) % cfg.check_every == 0 or j == dim - 1:
+        if (j + 1) % CHECK_EVERY == 0 or j == dim - 1:
             expH = scipy.linalg.expm(scale * HT[: j + 1, : j + 1].T.copy())
             residual = beta * (scale * hnext) * abs(expH[j, 0])
-            if residual <= cfg.tol * max(1.0, beta):
+            if residual <= tol * max(1.0, beta):
                 used = j + 1
                 break
 
@@ -213,10 +219,10 @@ def _arnoldi_expm(A, v0, dim, scale, btol, cfg):
     # basis broke down (the exact action) after it.
     if expH is None:
         expH = scipy.linalg.expm(scale * HT[:used, :used].T.copy())
-    elif residual > cfg.tol * max(1.0, beta):
+    elif residual > tol * max(1.0, beta):
         raise KrylovConvergenceError(
             f"Krylov subspace of dimension {used} left residual estimate "
-            f"{residual:.3e} above tolerance {cfg.tol:.1e}; increase dim",
+            f"{residual:.3e} above tolerance {tol:.1e}; increase dim",
             residual=residual,
             dim=used,
         )
@@ -389,13 +395,22 @@ class MidpointConfig:
         return self.delta_tau * self.steps
 
 
-def _matvec_fn(A):
+def _midpoint_operands(A, v0, horizon):
+    """(matvec (tau, x) -> A(tau) @ x, v0 as a flat float copy) for the
+    midpoint stepper.  v0 must have A's row count and be finite; a constant
+    matrix keeps every operand rule of the exp-actions (:func:`_expm_operands`)."""
     if hasattr(A, "matvec") and hasattr(A, "is_time_dependent"):
-        return lambda tau, x: A.matvec(x, tau=tau)
-    if callable(A) and not (sp.issparse(A) or isinstance(A, np.ndarray)):
-        return lambda tau, x: A(tau) @ x
-    M = _as_csr(A)
-    return lambda tau, x: M @ x
+        mv, n = (lambda tau, x: A.matvec(x, tau=tau)), A.n
+    elif callable(A) and not (sp.issparse(A) or isinstance(A, np.ndarray)):
+        mv, n = (lambda tau, x: A(tau) @ x), A(0.0).shape[0]
+    else:
+        M, v = _expm_operands(A, v0, horizon)
+        return (lambda tau, x: M @ x), v.copy()
+    v = _vector_operand(v0, n)
+    if not np.isfinite(v).all():
+        raise InvalidArgumentError("v must be finite")
+    return mv, v.copy()
+
 
 def modified_midpoint_solve(A, v0, cfg: MidpointConfig):
     """March V' = A(tau) V to the horizon with the explicit modified midpoint.
@@ -408,10 +423,10 @@ def modified_midpoint_solve(A, v0, cfg: MidpointConfig):
     the iterate norm exceeds ``DIVERGENCE_FACTOR`` times its initial value.
 
     ``A`` may be an :class:`~fxhhw.operators.AssembledOperator`, a constant
-    matrix, or a callable ``tau -> matrix``.
+    matrix, or a callable ``tau -> matrix``.  A ``v0`` of the wrong length or
+    with a non-finite entry is refused before the first step.
     """
-    mv = _matvec_fn(A)
-    v = np.asarray(v0, dtype=float).reshape(-1).copy()
+    mv, v = _midpoint_operands(A, v0, cfg.horizon)
     norm0 = float(np.linalg.norm(v))
     limit = DIVERGENCE_FACTOR * max(norm0, 1e-300)
     dt = 0.5 * cfg.delta_tau

@@ -51,7 +51,7 @@ def _resolve_solver(solver, time_dependent):
     return solver
 
 
-def solver_violations(solver, time_dependent, delta_tau, maturity):
+def solver_violations(solver, time_dependent, delta_tau, maturity, krylov_dim=None, n=None):
     """Every violation of the solver rules; [] when the request is valid.
 
     The name must be ``auto`` or one of ``SOLVERS``; krylov and chebyshev
@@ -59,17 +59,22 @@ def solver_violations(solver, time_dependent, delta_tau, maturity):
     ``auto``, must keep the step rule
     :func:`~fxhhw.integrators.midpoint_step_violations` with the maturity as
     horizon (``maturity=None``, an invalid maturity already reported, skips
-    the divides check).
+    the divides check).  ``krylov_dim`` keeps the subspace rule
+    :func:`~fxhhw.integrators.krylov_dim_violations`, whose basis budget on
+    ``n`` rows applies only when the solver is krylov (``n=None`` skips it).
     """
+    resolved = _resolve_solver(solver, time_dependent)
     if solver != "auto" and solver not in SOLVERS:
-        return [f"solver must be one of {('auto', *SOLVERS)}, got {solver!r}"]
-    solver = _resolve_solver(solver, time_dependent)
-    if solver == "midpoint":
-        return [f"solver.{v}" for v in midpoint_step_violations(delta_tau, maturity)]
-    if time_dependent:  # every other solver exponentiates A(0)
-        return [f"solver {solver!r} requires a time-independent operator; "
-                "use theta_mode 'constant_approx' or solver 'midpoint'"]
-    return []
+        out = [f"solver must be one of {('auto', *SOLVERS)}, got {solver!r}"]
+    elif resolved == "midpoint":
+        out = [f"solver.{v}" for v in midpoint_step_violations(delta_tau, maturity)]
+    elif time_dependent:  # every other solver exponentiates A(0)
+        out = [f"solver {resolved!r} requires a time-independent operator; "
+               "use theta_mode 'constant_approx' or solver 'midpoint'"]
+    else:
+        out = []
+    return out + [f"solver.krylov_dim: {v}" for v in
+                  krylov_dim_violations(krylov_dim, n if resolved == "krylov" else None)]
 
 
 try:
@@ -221,12 +226,11 @@ def price(
     exp-action, matvecs only), ``krylov`` (the Arnoldi exp-action under the
     ``krylov`` settings) or ``midpoint`` (the explicit stepper, step
     ``delta_tau``).  ``auto`` picks chebyshev when the operator is
-    time-independent and midpoint otherwise.  The solver and
-    boundary rules (:func:`solver_violations`,
-    :func:`operators.boundary_violations`), the ``theta_mode`` name
-    (:func:`operators.theta_mode_violations`) and, for krylov, the subspace
-    rule on N (:func:`~fxhhw.integrators.krylov_dim_violations`) are checked
-    before anything is assembled.  The initial condition is the raw
+    time-independent and midpoint otherwise.  The solver rules, with the
+    subspace rule on N for krylov (:func:`solver_violations`), the boundary
+    rules (:func:`operators.boundary_violations`) and the ``theta_mode``
+    name (:func:`operators.theta_mode_violations`) are checked before
+    anything is assembled.  The initial condition is the raw
     (unsmoothed) payoff.  The returned field carries the operator it solved.
     ``fd_limit=True`` assembles with classical FD weights: on a
     :func:`~fxhhw.grids.uniform_grid`, the FD baseline scheme.
@@ -234,15 +238,13 @@ def price(
     time_dependent = operators.time_dependent_operator(
         theta_mode, model.theta_d_params, model.theta_f_params
     )
+    krylov = krylov or KrylovConfig()
     violations = (
-        solver_violations(solver, time_dependent, delta_tau, option.maturity)
+        solver_violations(solver, time_dependent, delta_tau, option.maturity,
+                          krylov.dim, grid.n)
         + operators.boundary_violations(boundary, option.kind)
         + operators.theta_mode_violations(theta_mode)
     )
-    solver = _resolve_solver(solver, time_dependent)
-    krylov = krylov or KrylovConfig()
-    if solver == "krylov":
-        violations += krylov_dim_violations(krylov.dim, grid.n)
     if violations:
         raise ConfigError(violations)
     T = option.maturity
@@ -260,6 +262,7 @@ def price(
     # The operator without boundary rows is garbage from here on.
     _release_freed_heap()
 
+    solver = _resolve_solver(solver, time_dependent)
     v = SOLVERS[solver](op, payoff_vector(grid, option), T, krylov, delta_tau)
     return SolutionField(values=v, grid=grid, tau=T, operator=op)
 

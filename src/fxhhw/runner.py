@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 import time
@@ -16,6 +17,7 @@ from .errors import ConfigError, RangeError
 from .grids import AXES, outside
 from .integrators import KrylovConfig, estimate_lambda_max
 from .mc import simulate_price
+from .operators import time_dependent_operator
 from .pricing import SolutionField
 
 
@@ -178,14 +180,19 @@ def fill_roc(rows):
 
 def sweep(cfg: ExperimentConfig, axis="s", ladder=(8, 16, 32), out_dir=None) -> ExperimentReport:
     """Refine one axis over a doubling ladder and report prices + ROC.  Every
-    rung is checked against the rules on its sizes before any is solved."""
+    rung is checked against the grid and solver rules on its sizes before
+    any is solved."""
     ladder = parse_ladder(ladder)
     if axis not in AXES:
         raise ConfigError([f"unknown sweep axis {axis!r}"])
     pos = AXES.index(axis)
     rungs = [cfg.with_m((*cfg.m[:pos], size, *cfg.m[pos + 1:])) for size in ladder]
+    time_dependent = time_dependent_operator(
+        cfg.theta_mode, cfg.model.theta_d_params, cfg.model.theta_f_params)
     violations = [f"sweep rung m={rung.m}: {v}" for rung in rungs
-                  for v in size_violations(rung.krylov_dim, *rung.grid_settings())]
+                  for v in size_violations(*rung.grid_settings()) + pricing.solver_violations(
+                      rung.solver, time_dependent, rung.delta_tau, rung.option.maturity,
+                      rung.krylov_dim, math.prod(rung.m))]
     if violations:
         raise ConfigError(violations)
 

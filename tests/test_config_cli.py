@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from fxhhw import cli, operators, pricing, runner
 from fxhhw.config import bundled_config_path, from_dict, from_yaml
 from fxhhw.errors import ConfigError
 from fxhhw.grids import AXES
-from fxhhw.mc import McConfig
+from fxhhw.mc import McConfig, simulate_price
 from fxhhw.pricing import SolutionField
 from fxhhw.runner import (
     ConvergenceRow,
@@ -19,6 +21,9 @@ from fxhhw.runner import (
     surface_export,
     sweep,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_config_dict():
@@ -86,6 +91,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             from_dict(raw)
         assert any("time-independent" in v for v in err.value.violations)
+
+    @pytest.mark.parametrize("solver", ["auto", "chebyshev"])
+    def test_over_budget_krylov_dim_loads_without_krylov(self, solver):
+        # N = 1728: a 100,001-vector basis needs 1318 MiB, but only krylov builds one.
+        raw = tiny_config_dict()
+        raw["solver"].update(solver=solver, krylov_dim=100000)
+        assert from_dict(raw).krylov_dim == 100000
+
+    def test_over_budget_krylov_dim_reported_with_the_other_solver_rules(self):
+        raw = tiny_config_dict()
+        raw["model"]["theta_d"] = [0.074, 0.014, 2.10]
+        raw["solver"].update(solver="krylov", krylov_dim=100000)
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.violations == pricing.solver_violations(
+            "krylov", True, None, 1.0, 100000, 1728)
+        assert len(err.value.violations) == 2
 
     def test_chebyshev_with_time_dependent_theta_rejected(self):
         raw = tiny_config_dict()
@@ -264,6 +286,25 @@ class TestRunner:
         assert field.grid.n == 8 * 6 * 6 * 6
 
 
+class TestRunWithMonteCarlo:
+    def test_one_estimate_per_query_beside_an_unchanged_csv(self, tmp_path):
+        cfg = from_yaml(bundled_config_path("experiment2"))
+        cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, paths=2_000))
+        report = runner.run(cfg, out_dir=str(tmp_path / "mc"))
+        assert [label for label, _ in report.mc_estimates] == ["V1", "V2"]
+        text = (tmp_path / "mc" / f"{cfg.name}_report.txt").read_text()
+        assert text == report.to_text()
+        for query, (label, est) in zip(cfg.queries, report.mc_estimates):
+            s, v, rd, rf = query.point
+            at_query = dataclasses.replace(cfg.model, s0=s, v0=v, rd0=rd, rf0=rf)
+            assert est == simulate_price(at_query, cfg.option, cfg.mc)
+            assert (f"  MC {label}: {est.price:.5f} +/- {est.stderr:.5f} (2000 paths)\n"
+                    in text)
+        runner.run(dataclasses.replace(cfg, mc=None), out_dir=str(tmp_path / "plain"))
+        name = f"{cfg.name}_results.csv"
+        assert (tmp_path / "mc" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 class TestSweepHarness:
     def test_synthetic_second_order_solver(self):
         # exact second-order model data: ROC must be exactly 2
@@ -342,6 +383,22 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "V1" in out and "V2" in out
+
+    def test_run_bundled_config(self, tmp_path, capsys):
+        assert cli.main(["run", "bundled:experiment3_const", "--out", str(tmp_path)]) == 0
+        assert "V1" in capsys.readouterr().out
+        written = tmp_path / "experiment3-call-constant-theta_results.csv"
+        assert written.read_bytes() == (DATA / "experiment3_const_results.csv").read_bytes()
+
+    def test_solver_failure_exit_one(self, tmp_path, capsys):
+        # Experiment 3 under abc closures: the midpoint stepper diverges.
+        raw = yaml.safe_load(Path(bundled_config_path("experiment3")).read_text())
+        raw["solver"]["boundary"] = "abc"
+        cfg_path = tmp_path / "abc.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: modified midpoint diverged at step 15/400 ")
 
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         raw = tiny_config_dict()
@@ -444,6 +501,8 @@ class TestCli:
             raw[entry][key] = value
         if key == "delta_tau":
             raw["solver"]["solver"] = "midpoint"
+        if key == "krylov_dim":
+            raw["solver"]["solver"] = "krylov"  # the basis budget binds krylov only
         cfg_path = tmp_path / "bad.yaml"
         cfg_path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(cfg_path)]) == 2
@@ -509,7 +568,7 @@ class TestCli:
 
         monkeypatch.setattr(pricing, "price", no_solve)
         raw = tiny_config_dict()
-        raw["solver"]["krylov_dim"] = 40000
+        raw["solver"].update(solver="krylov", krylov_dim=40000)
         cfg_path = tmp_path / "tiny.yaml"
         cfg_path.write_text(yaml.safe_dump(raw))
         code = cli.main(["sweep", str(cfg_path), "--ladder", "8,16,32"])
@@ -524,6 +583,19 @@ class TestCli:
             "of dimension 40000 for N=6912 needs 2109 MiB, above the 1024 MiB budget; "
             "lower dim",
         ]
+
+    def test_sweep_rung_budget_binds_krylov_only(self, monkeypatch):
+        class Solved(Exception):
+            pass
+
+        def solved(*args, **kwargs):
+            raise Solved
+
+        monkeypatch.setattr(pricing, "price", solved)
+        raw = tiny_config_dict()
+        raw["solver"]["krylov_dim"] = 40000
+        with pytest.raises(Solved):
+            sweep(from_dict(raw), ladder=(8, 16, 32))
 
     @pytest.mark.parametrize("ladder", ["8,x", "8,16", "8,12,16"])
     def test_sweep_bad_ladder_exit_two(self, tmp_path, capsys, ladder):

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fxhhw.errors import InvalidArgumentError, ModelConfigError
-from fxhhw.mc import BATCH_SIZE, McConfig, pathwise_delta, simulate_price
-from fxhhw.model import ModelParams, OptionSpec
+from fxhhw.mc import BATCH_SIZE, McConfig, _chol, pathwise_delta, simulate_price
+from fxhhw.model import ModelParams, OptionSpec, correlation_matrix
 from conftest import experiment1_model
 
 
@@ -130,6 +131,16 @@ class TestStatisticalProperties:
         est = pathwise_delta(model, opt, McConfig(paths=50_000, steps_per_year=100, seed=7))
         assert abs(est.price) <= max(3.0 * est.stderr, 1e-6)
 
+    def test_call_minus_put_delta_is_the_forward_delta(self, par1):
+        # Per path, 1{s_T > K} s_T + 1{s_T < K} s_T = s_T: a call struck at
+        # ~0, divided by s0.  All three estimates average the same paths.
+        cfg = McConfig(paths=20_000, steps_per_year=50, seed=3)
+        call = pathwise_delta(par1, OptionSpec("call", 100.0, 1.0), cfg)
+        put = pathwise_delta(par1, OptionSpec("put", 100.0, 1.0), cfg)
+        forward = simulate_price(par1, OptionSpec("call", 1e-9, 1.0), cfg).price / par1.s0
+        assert put.price < 0 < call.price
+        assert call.price - put.price == pytest.approx(forward, rel=1e-10)
+
 
 class TestCorrelationHandling:
     def test_non_psd_matrix_rejected(self, par1):
@@ -141,6 +152,18 @@ class TestCorrelationHandling:
         object.__setattr__(par1, "correlation", R)
         with pytest.raises(ModelConfigError):
             simulate_price(par1, OptionSpec("call", 100.0, 1.0), McConfig(paths=100, seed=0))
+
+    def test_singular_matrix_takes_the_shifted_cholesky(self, par1):
+        # rho_df = 1: a valid correlation matrix with smallest eigenvalue ~1e-16.
+        R = correlation_matrix(-0.4, -0.15, -0.15, 0.3, 0.3, 1.0)
+        model = dataclasses.replace(par1, correlation=R)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(R)
+        L = _chol(R)
+        np.testing.assert_allclose(L @ L.T, R, atol=1e-12)
+        est = simulate_price(model, OptionSpec("call", 100.0, 1.0),
+                             McConfig(paths=2_000, steps_per_year=50, seed=3))
+        assert math.isfinite(est.price) and est.price > 0
 
 
 @pytest.fixture(scope="module")

@@ -189,7 +189,19 @@ class TestPriceSolutionBasics:
         with pytest.raises(ConfigError) as err:
             price(par1, OptionSpec("call", 100.0, 1.0), g, solver="krylov",
                   krylov=KrylovConfig(dim=400))
-        assert err.value.violations == integrators.krylov_dim_violations(400, g.n)
+        assert err.value.violations == [
+            f"solver.krylov_dim: {v}" for v in integrators.krylov_dim_violations(400, g.n)]
+
+    @pytest.mark.parametrize("solver", ["auto", "chebyshev"])
+    def test_over_budget_krylov_dim_binds_krylov_only(self, par1, monkeypatch, solver):
+        # The same settings pass the checks, and reach assembly, when the
+        # solver builds no basis.
+        monkeypatch.setattr(operators, "assemble_operator", self._no_assembly)
+        monkeypatch.setattr(integrators, "BASIS_BUDGET_BYTES", 2**20)
+        g = experiment_grid((6, 5, 4, 4))
+        with pytest.raises(AssertionError, match="assembled before"):
+            price(par1, OptionSpec("call", 100.0, 1.0), g, solver=solver,
+                  krylov=KrylovConfig(dim=400))
 
     @pytest.mark.parametrize("kind, boundary", [
         ("call", "bogus"), ("put", "dirichlet"), ("put", "neumann_flux"),
