@@ -524,6 +524,7 @@ class TestCli:
         ("grid", "m", [8.9, 6, 6, 6], "grid.m must be four sizes >= 4, got [8.9, 6, 6, 6]"),
         ("mc", "paths", 100.7, "mc.paths must be an integer, got 100.7"),
         ("mc", "steps_per_year", True, "mc.steps_per_year must be an integer, got True"),
+        ("mc", "seed", -1, "mc.seed must be >= 0, got -1"),
         ("", "compute_lambda_max", "no",
          "compute_lambda_max must be a boolean (true or false), got 'no'"),
         ("model", "theta_d", [0.05, 0.0, -800.0],
@@ -531,7 +532,8 @@ class TestCli:
         ("model", "theta_f", [float("nan"), 0.0, 0.0],
          "model.theta_f_params must be finite with a3 >= 0, got (nan, 0.0, 0.0)"),
     ], ids=["xi_s", "s_max", "v_max", "r_max", "m-fraction", "mc-paths",
-            "mc-steps-bool", "lambda-max-str", "theta-a3-negative", "theta-nan"])
+            "mc-steps-bool", "mc-seed-negative", "lambda-max-str", "theta-a3-negative",
+            "theta-nan"])
     def test_load_time_rule_exit_two(self, tmp_path, capsys, monkeypatch, entry, key, value,
                                      message):
         def no_solve(*args, **kwargs):

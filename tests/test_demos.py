@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script", [
     "01_rbf_weights_and_grids.py",
+    "02_price_call_krylov.py",
     "03_put_abc_and_fdkm.py",
     "04_time_dependent_theta_midpoint.py",
 ])

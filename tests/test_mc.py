@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from fxhhw import mc
 from fxhhw.errors import InvalidArgumentError, ModelConfigError
 from fxhhw.mc import BATCH_SIZE, McConfig, _chol, pathwise_delta, simulate_price
 from fxhhw.model import ModelParams, OptionSpec, correlation_matrix
@@ -38,9 +41,10 @@ class TestConfigValidation:
 
     def test_every_failing_rule_reported_in_one_raise(self):
         with pytest.raises(InvalidArgumentError) as err:
-            McConfig(paths=-1, steps_per_year=0)
+            McConfig(paths=-1, steps_per_year=0, seed=-1)
         assert err.value.violations == [
             "paths must be >= 1, got -1", "steps_per_year must be >= 1, got 0",
+            "seed must be >= 0, got -1",
         ]
 
 
@@ -84,6 +88,105 @@ class TestReproducibility:
         a = simulate_price(par1, opt, McConfig(paths=10_000, steps_per_year=50, seed=1))
         b = simulate_price(par1, opt, McConfig(paths=10_000, steps_per_year=50, seed=2))
         assert a.price != b.price
+
+
+class PayoffFailsAfterFirstBatch:
+    """A call whose payoff raises from the second batch on."""
+
+    kind, strike, maturity = "call", 100.0, 1.0
+
+    def __init__(self):
+        self.batches = 0
+
+    def payoff(self, s):
+        self.batches += 1
+        if self.batches > 1:
+            raise ArithmeticError("payoff failed in batch 2")
+        return np.maximum(s - self.strike, 0.0)
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def returns_within(seconds, fn, *args):
+    """``fn(*args)`` on a daemon thread, so that a hang fails the test instead."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:  # raised again below, in the test's thread
+            out["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive(), f"no return within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+class TestDrawAhead:
+    """The normals are drawn on one worker thread per call, which never outlives it."""
+
+    def test_consumer_error_stops_and_joins_the_worker(self, par1):
+        # Three batches of 20 steps: when batch 2's payoff raises, the worker
+        # is waiting on a full ring for batch 3's draws.
+        before = threading.active_count()
+        opt = PayoffFailsAfterFirstBatch()
+        with pytest.raises(ArithmeticError, match="payoff failed in batch 2"):
+            returns_within(10, simulate_price, par1, opt,
+                           McConfig(paths=2 * BATCH_SIZE + 1, steps_per_year=20))
+        assert opt.batches == 2
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_the_caller(self, par1, monkeypatch):
+        real_generator = np.random.Generator
+
+        class FailsOnThirdDraw:
+            def __init__(self, bit_generator):
+                self.rng = real_generator(bit_generator)
+                self.draws = 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws == 3:
+                    raise DrawFailed("draw 3")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(mc.np.random, "Generator", FailsOnThirdDraw)
+        before = threading.active_count()
+        with pytest.raises(DrawFailed, match="draw 3"):
+            returns_within(10, pathwise_delta, par1, OptionSpec("call", 100.0, 1.0),
+                           McConfig(paths=1_000, steps_per_year=20))
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_thread_switching_bitwise(self, par1):
+        # Four callers, each with its own drawing thread, switching every
+        # microsecond: a draw taken out of order or a slot reused before it is
+        # released would change the bits.
+        opt = OptionSpec("call", 100.0, 1.0)
+        cfg = McConfig(paths=BATCH_SIZE + 700, steps_per_year=10, seed=9)
+        want = simulate_price(par1, opt, cfg)
+        got = [None] * 4
+
+        def call(i):
+            got[i] = simulate_price(par1, opt, cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [want] * 4
 
 
 class TestStatisticalProperties:
