@@ -399,17 +399,13 @@ def _midpoint_operands(A, v0, horizon):
     """(matvec (tau, x) -> A(tau) @ x, v0 as a flat float copy) for the
     midpoint stepper.  v0 must have A's row count and be finite; a constant
     matrix keeps every operand rule of the exp-actions (:func:`_expm_operands`)."""
-    if hasattr(A, "matvec") and hasattr(A, "is_time_dependent"):
-        mv, n = (lambda tau, x: A.matvec(x, tau=tau)), A.n
-    elif callable(A) and not (sp.issparse(A) or isinstance(A, np.ndarray)):
-        mv, n = (lambda tau, x: A(tau) @ x), A(0.0).shape[0]
-    else:
+    if not (hasattr(A, "matvec") and hasattr(A, "is_time_dependent")):
         M, v = _expm_operands(A, v0, horizon)
         return (lambda tau, x: M @ x), v.copy()
-    v = _vector_operand(v0, n)
+    v = _vector_operand(v0, A.n)
     if not np.isfinite(v).all():
         raise InvalidArgumentError("v must be finite")
-    return mv, v.copy()
+    return (lambda tau, x: A.matvec(x, tau=tau)), v.copy()
 
 
 def modified_midpoint_solve(A, v0, cfg: MidpointConfig):
@@ -422,9 +418,9 @@ def modified_midpoint_solve(A, v0, cfg: MidpointConfig):
     step.  Second order in delta_tau; aborts with the growth diagnostic if
     the iterate norm exceeds ``DIVERGENCE_FACTOR`` times its initial value.
 
-    ``A`` may be an :class:`~fxhhw.operators.AssembledOperator`, a constant
-    matrix, or a callable ``tau -> matrix``.  A ``v0`` of the wrong length or
-    with a non-finite entry is refused before the first step.
+    ``A`` may be an :class:`~fxhhw.operators.AssembledOperator` or a constant
+    matrix.  A ``v0`` of the wrong length or with a non-finite entry is
+    refused before the first step.
     """
     mv, v = _midpoint_operands(A, v0, cfg.horizon)
     norm0 = float(np.linalg.norm(v))

@@ -7,17 +7,20 @@ the trapezoidal integral of r_d.  Mean-reversion levels are specified in
 backward time by the model, so the forward simulation evaluates them at
 T - t.  Deterministic for a fixed seed/config: the counter-based Philox
 generator and fixed-size batch reduction make results independent of how the
-work is chunked.  Each call draws its normals on one worker thread, in stream
-order (batch by batch, step by step), a few steps ahead of the path updates;
-the estimates do not depend on the thread timing or on the CPU count.
+work is chunked.  Each call draws its normals on a one-worker
+``ThreadPoolExecutor``, in stream order (batch by batch, step by step), a few
+steps ahead of the path updates; the estimates do not depend on the thread
+timing or on the CPU count.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +32,7 @@ CHOLESKY_SHIFT_TOL = 1e-10
 # Paths simulated per batch.
 BATCH_SIZE = 50_000
 
-# Preallocated (4, n) normal buffers the drawing thread fills ahead of the
+# Preallocated (4, n) normal buffers the drawing worker fills ahead of the
 # path updates; 3 ran fastest on 2 cores, 2 gave back part of the gain.
 DRAW_SLOTS = 3
 
@@ -41,10 +44,13 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        violations = [f"{name} must be >= 1, got {getattr(self, name)}"
-                      for name in ("paths", "steps_per_year") if not getattr(self, name) >= 1]
-        if not self.seed >= 0:
-            violations.append(f"seed must be >= 0, got {self.seed}")
+        violations = []
+        for name, low in (("paths", 1), ("steps_per_year", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                violations.append(f"{name} must be an integer, got {value!r}")
+            elif not value >= low:
+                violations.append(f"{name} must be >= {low}, got {value}")
         if violations:
             raise InvalidArgumentError(violations)
 
@@ -69,58 +75,8 @@ def _chol(R):
         return np.linalg.cholesky(R + shift * np.eye(4))
 
 
-class _DrawAhead:
-    """Each step's (4, n) standard normals, drawn ahead on one worker thread.
-
-    The worker draws from ``rng`` batch by batch and step by step, the order
-    in which they are taken, into ``DRAW_SLOTS`` preallocated buffers, so the
-    numbers are those of drawing inline whatever the thread timing.  Entering
-    starts the worker; leaving stops and joins it, also on an error.  An error
-    raised while drawing is raised again by ``take``.
-    """
-
-    def __init__(self, rng, sizes, steps):
-        self._slots = [np.empty(4 * max(sizes)) for _ in range(DRAW_SLOTS)]
-        self._free = queue.SimpleQueue()
-        self._full = queue.SimpleQueue()
-        for i in range(DRAW_SLOTS):
-            self._free.put(i)
-        self._worker = threading.Thread(target=self._draw, args=(rng, sizes, steps))
-
-    def _draw(self, rng, sizes, steps):
-        try:
-            for n in sizes:
-                for _ in range(steps):
-                    i = self._free.get()
-                    if i is None:  # the consumer has left
-                        return
-                    z = self._slots[i][:4 * n].reshape(4, n)
-                    rng.standard_normal(out=z)
-                    self._full.put((i, z))
-        except BaseException as exc:  # raised again in the consumer by take()
-            self._full.put(exc)
-
-    def take(self):
-        """``(slot, normals)`` of the next step; hand the slot back to ``release``."""
-        item = self._full.get()
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-    def release(self, slot):
-        self._free.put(slot)
-
-    def __enter__(self):
-        self._worker.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._free.put(None)
-        self._worker.join()
-
-
-def _simulate_batch(model, option, n, steps, dt, L, draws, estimator):
-    """Simulate one batch; returns per-path contributions."""
+def _simulate_batch(model, option, n, steps, dt, increments, estimator):
+    """Simulate one batch with each step's ``increments()``; returns per-path contributions."""
     x = np.full(n, np.log(model.s0))
     v = np.full(n, model.v0)
     rd = np.full(n, model.rd0)
@@ -128,12 +84,9 @@ def _simulate_batch(model, option, n, steps, dt, L, draws, estimator):
     T = option.maturity
     disc = np.zeros(n)  # trapezoidal integral of r_d
     rho_sf = model.rho_sf
-    sqdt = sqrt(dt)
     for k in range(steps):
         t = k * dt
-        slot, z = draws.take()
-        dw = (L @ z) * sqdt
-        draws.release(slot)
+        dw = increments()
         vp = np.maximum(v, 0.0)
         sq = np.sqrt(vp)
         disc += 0.5 * dt * rd
@@ -163,12 +116,27 @@ def _run(model, option, cfg, estimator):
     steps = max(1, int(round(cfg.steps_per_year * option.maturity)))
     dt = option.maturity / steps
     rng = np.random.Generator(np.random.Philox(cfg.seed))
+    sqdt = sqrt(dt)
     sizes = [min(BATCH_SIZE, cfg.paths - done) for done in range(0, cfg.paths, BATCH_SIZE)]
+    # Draw k fills slot k % DRAW_SLOTS, the slot that draw k - DRAW_SLOTS freed.
+    slots = [np.empty(4 * sizes[0]) for _ in range(DRAW_SLOTS)]
+    outs = (slots[k % DRAW_SLOTS][:4 * n].reshape(4, n)
+            for k, n in enumerate(n for n in sizes for _ in range(steps)))
     total = 0.0
     total_sq = 0.0
-    with _DrawAhead(rng, sizes, steps) as draws:
+    # One worker runs the draws in submission order, i.e. in stream order;
+    # leaving the block joins it, also on an error.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        draws = (worker.submit(rng.standard_normal, out=out) for out in outs)
+        pending = deque(islice(draws, DRAW_SLOTS))
+
+        def increments():
+            dw = (L @ pending.popleft().result()) * sqdt
+            pending.extend(islice(draws, 1))  # the next draw, into the slot just read
+            return dw
+
         for n in sizes:
-            samples = _simulate_batch(model, option, n, steps, dt, L, draws, estimator)
+            samples = _simulate_batch(model, option, n, steps, dt, increments, estimator)
             total += float(np.sum(samples))
             total_sq += float(np.sum(samples * samples))
     paths = cfg.paths

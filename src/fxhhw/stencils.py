@@ -203,12 +203,8 @@ def boundary_second_row(c):
 def shape_parameters(grid):
     """Per-axis shape parameters {axis: c}: c = 2 max(ds) on the spot axis
     and 3 max(d) on the variance and rate axes."""
-    steps = {axis: grid.steps(axis) for axis in AXES}
-    for axis, d in steps.items():
-        if len(d) < 1:
-            raise InvalidArgumentError(f"axis {axis} needs at least 2 nodes")
-    return {axis: (2.0 if axis == "s" else 3.0) * float(np.max(d))
-            for axis, d in steps.items()}
+    return {axis: (2.0 if axis == "s" else 3.0) * float(np.max(grid.steps(axis)))
+            for axis in AXES}
 
 
 def collocation_weights_oracle(node_offsets, c, order):

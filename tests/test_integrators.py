@@ -26,9 +26,9 @@ from fxhhw.integrators import (
     modified_midpoint_solve,
 )
 from fxhhw.model import OptionSpec
-from fxhhw.operators import assemble_operator, impose_boundaries
+from fxhhw.operators import AssembledOperator, assemble_operator, impose_boundaries
 from fxhhw.pricing import payoff_vector
-from conftest import experiment1_model, experiment_grid
+from conftest import experiment1_model, experiment3_model, experiment_grid
 
 
 def random_stable_sparse(rng, n=50, density=0.15, shift=3.0):
@@ -403,12 +403,16 @@ class TestModifiedMidpoint:
         assert self._order(errs) >= 1.8
 
     def test_scalar_time_dependent_second_order(self):
-        a, b, T = -0.8, 1.3, 1.0
-        exact = np.exp(a * T + 0.5 * b * T * T)
-
-        def A(tau):
-            return sp.csr_matrix([[a + b * tau]])
-
+        # A(tau) = a + theta_d(tau), theta_d(tau) = a1 - a2 exp(-a3 tau): a 1 x 1
+        # operator whose theta_d part carries the time dependence.
+        a, (a1, a2, a3), T = -0.8, (0.5, 1.3, 2.0), 1.0
+        exact = np.exp(a * T + a1 * T - a2 * (1.0 - np.exp(-a3 * T)) / a3)
+        A = AssembledOperator(
+            base=sp.csr_matrix([[a]]),
+            theta_parts=(sp.csr_matrix([[1.0]]), sp.csr_matrix([[0.0]])),
+            grid=None, d1={},
+            params=dataclasses.replace(experiment3_model(), theta_d_params=(a1, a2, a3)))
+        assert A.is_time_dependent
         errs = []
         for steps in (8, 16, 32, 64):
             out = modified_midpoint_solve(A, np.array([1.0]), MidpointConfig(T / steps, steps))
@@ -442,26 +446,17 @@ class TestModifiedMidpoint:
 
     @staticmethod
     def _operands():
-        """Each form of A, 3 x 3, with its count of evaluations."""
-        calls = []
+        """Each matrix form of A, 3 x 3."""
         M = sp.diags([-1.0, -2.0, -3.0]).tocsr()
+        return {"csr": M, "dense": M.toarray()}
 
-        def A_of_tau(tau):
-            calls.append(tau)
-            return M
-
-        return {"csr": M, "dense": M.toarray(), "callable": A_of_tau}, calls
-
-    @pytest.mark.parametrize("form", ["csr", "dense", "callable"])
+    @pytest.mark.parametrize("form", ["csr", "dense"])
     @pytest.mark.parametrize("case, message", [
         ("nan-in-v", "must be finite"), ("short-v", "dimension mismatch")])
     def test_operands_refused_before_the_first_step(self, form, case, message):
-        forms, calls = self._operands()
         v = np.array([1.0, np.nan, 1.0]) if case == "nan-in-v" else np.ones(2)
         with pytest.raises(InvalidArgumentError, match=message):
-            modified_midpoint_solve(forms[form], v, MidpointConfig(0.1, 10))
-        # A callable is evaluated once, at tau = 0, for its row count.
-        assert calls == ([0.0] if form == "callable" else [])
+            modified_midpoint_solve(self._operands()[form], v, MidpointConfig(0.1, 10))
 
     def test_assembled_operator_operand_refused(self, rng):
         op = assemble_operator(experiment_grid((6, 5, 4, 4)), experiment1_model())

@@ -47,6 +47,22 @@ class TestConfigValidation:
             "seed must be >= 0, got -1",
         ]
 
+    @pytest.mark.parametrize("field, value", [
+        ("paths", 10.5), ("paths", 1000.0), ("paths", True), ("paths", "1000"),
+        ("steps_per_year", True), ("steps_per_year", 50.0), ("seed", 1.5), ("seed", False),
+    ])
+    def test_non_integer_refused(self, field, value):
+        # another field out of range: both rules are reported in one raise
+        other = {"seed": -1} if field == "paths" else {"paths": 0}
+        with pytest.raises(InvalidArgumentError) as err:
+            McConfig(**{field: value, **other})
+        assert f"{field} must be an integer, got {value!r}" in err.value.violations
+        assert len(err.value.violations) == 2
+
+    def test_numpy_integers_accepted(self):
+        cfg = McConfig(paths=np.int64(10), steps_per_year=np.int32(5), seed=np.uint64(3))
+        assert (cfg.paths, cfg.steps_per_year, cfg.seed) == (10, 5, 3)
+
 
 class TestDeterministicLimit:
     def test_price_matches_closed_form(self):

@@ -266,17 +266,13 @@ class TestShapeParameters:
         assert shape_parameters(grid)["s"] == pytest.approx(0.2, rel=1e-12)
 
     def test_requires_two_nodes(self):
-        class Stub:
-            s_nodes = np.array([1.0])
-            v_nodes = np.linspace(0, 1, 4)
-            rd_nodes = np.linspace(0, 1, 4)
-            rf_nodes = np.linspace(0, 1, 4)
+        # The rule is the grid's: no Grid4D has a one-node axis, so every axis
+        # shape_parameters reads has at least one step.
+        from fxhhw.grids import Grid4D
 
-            def steps(self, axis):
-                return np.diff(getattr(self, f"{axis}_nodes"))
-
-        with pytest.raises(InvalidArgumentError):
-            shape_parameters(Stub())
+        with pytest.raises(InvalidArgumentError, match="s_nodes must be a 1D axis with >= 2"):
+            Grid4D(s_nodes=np.array([1.0]), v_nodes=np.linspace(0, 1, 4),
+                   rd_nodes=np.linspace(0, 1, 4), rf_nodes=np.linspace(0, 1, 4))
 
 
 class TestCollocationOracle:
