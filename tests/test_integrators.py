@@ -331,28 +331,58 @@ class TestChebyshevExpmAction:
         big = want[: got.size] > 1e-30 * want[0]
         np.testing.assert_allclose(got[big], want[: got.size][big], rtol=2e-12)
 
-    def test_solve_does_not_load_scipy_special(self):
-        # scipy.special costs 3 MB of resident memory and 70 ms to import.
-        code = ("import sys, numpy as np, scipy.sparse as sp; "
-                "from fxhhw import chebyshev_expm_action; "
-                "chebyshev_expm_action(sp.diags(-np.arange(1.0, 9.0)).tocsr(), np.ones(8)); "
-                "print('scipy.special' in sys.modules)")
-        env = {**os.environ, "PYTHONPATH": str(Path(integrators.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.stdout.strip() == "False", done.stderr
+
+# scipy.special, scipy.linalg and scipy.sparse.linalg cost about 3, 7.5 and
+# 2 MB of resident memory and 20-100 ms each to import.
+LAZY_SCIPY = ("scipy.special", "scipy.linalg", "scipy.sparse.linalg")
+LINALG = ["scipy.linalg", "scipy.sparse.linalg"]
+
+
+@pytest.mark.parametrize("call, loaded", [
+    ("price(experiment1_model(), opt, grid, solver='auto')", []),
+    ("price(experiment3_model(), opt, grid, solver='auto', delta_tau=0.005)", []),
+    ("simulate_price(experiment1_model(), opt, McConfig(paths=1000))", []),
+    ("price(experiment1_model(), opt, grid, solver='krylov')", LINALG),
+    ("estimate_lambda_max(sp.diags(-np.linspace(1.0, 500.0, 2000)).tocsr())", LINALG),
+], ids=["auto-constant", "auto-time-dependent", "mc", "krylov", "lambda-max"])
+def test_scipy_loaded_only_where_called(call, loaded):
+    # In a fresh process: `import fxhhw` loads none of LAZY_SCIPY, and each
+    # call runs and loads only the modules it needs.
+    code = "\n".join([
+        "import sys",
+        "import numpy as np, scipy.sparse as sp",
+        "from fxhhw import McConfig, OptionSpec, estimate_lambda_max, price, simulate_price",
+        "from conftest import experiment1_model, experiment3_model, experiment_grid",
+        "opt, grid = OptionSpec('call', 100.0, 0.25), experiment_grid((6, 5, 4, 4))",
+        f"lazy = {LAZY_SCIPY!r}",
+        "print([m for m in lazy if m in sys.modules])",
+        call,
+        "print([m for m in lazy if m in sys.modules])",
+    ])
+    paths = [str(Path(integrators.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", repr(loaded)]
 
 
 @pytest.mark.parametrize("action", [krylov_expm_action, chebyshev_expm_action],
                          ids=["krylov", "chebyshev"])
-@pytest.mark.parametrize("case", ["nan-in-v", "inf-in-A", "zero-v"])
+@pytest.mark.parametrize("case", ["nan-in-v", "inf-in-A", "zero-v", "not-a-matrix"])
 def test_expm_action_operand_rules(rng, action, case):
-    # One operand check for both exp-actions: a non-finite A or v is refused
-    # before any work, and a zero v maps to zeros.
+    # One operand check for both exp-actions: an A that is not a matrix and a
+    # non-finite A or v are refused before any work, and a zero v maps to zeros.
     A = random_stable_sparse(rng, n=200, density=0.05)
     v = rng.standard_normal(200)
     if case == "zero-v":
         np.testing.assert_array_equal(action(A, np.zeros(200), tau=2.0), np.zeros(200))
+        return
+    if case == "not-a-matrix":
+        with pytest.raises(InvalidArgumentError, match="A must be a matrix"):
+            action(lambda tau: A, v, tau=2.0)
+        with pytest.raises(InvalidArgumentError, match="A must be square"):
+            action(A[:, :199], v, tau=2.0)
         return
     if case == "nan-in-v":
         v[17] = np.nan
@@ -452,11 +482,15 @@ class TestModifiedMidpoint:
 
     @pytest.mark.parametrize("form", ["csr", "dense"])
     @pytest.mark.parametrize("case, message", [
-        ("nan-in-v", "must be finite"), ("short-v", "dimension mismatch")])
+        ("nan-in-v", "must be finite"), ("short-v", "dimension mismatch"),
+        ("callable-A", "A must be a matrix")])
     def test_operands_refused_before_the_first_step(self, form, case, message):
-        v = np.array([1.0, np.nan, 1.0]) if case == "nan-in-v" else np.ones(2)
+        M = self._operands()[form]
+        # A(tau) given as a function is not a matrix.
+        A = (lambda tau: M) if case == "callable-A" else M
+        v = {"nan-in-v": np.array([1.0, np.nan, 1.0]), "short-v": np.ones(2)}.get(case, np.ones(3))
         with pytest.raises(InvalidArgumentError, match=message):
-            modified_midpoint_solve(self._operands()[form], v, MidpointConfig(0.1, 10))
+            modified_midpoint_solve(A, v, MidpointConfig(0.1, 10))
 
     def test_assembled_operator_operand_refused(self, rng):
         op = assemble_operator(experiment_grid((6, 5, 4, 4)), experiment1_model())
