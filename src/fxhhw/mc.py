@@ -7,18 +7,19 @@ the trapezoidal integral of r_d.  Mean-reversion levels are specified in
 backward time by the model, so the forward simulation evaluates them at
 T - t.  Deterministic for a fixed seed/config: the counter-based Philox
 generator and fixed-size batch reduction make results independent of how the
-work is chunked.  Each call draws its normals on a one-worker
-``ThreadPoolExecutor``, in stream order (batch by batch, step by step), a few
-steps ahead of the path updates; the estimates do not depend on the thread
-timing or on the CPU count.
+work is chunked.  Each call draws its normals and forms their correlated
+increments on a one-worker ``ThreadPoolExecutor``, in stream order (batch by
+batch, step by step), a step ahead of the path updates, and advances each
+batch in place on buffers it allocates once.  ``runner.simulate_points`` runs
+one call per query point side by side, at most one per usable CPU.  The
+estimates do not depend on the thread timing, on the CPU count or on which
+thread makes the call.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from math import sqrt
 from numbers import Integral
 
@@ -31,10 +32,6 @@ CHOLESKY_SHIFT_TOL = 1e-10
 
 # Paths simulated per batch.
 BATCH_SIZE = 50_000
-
-# Preallocated (4, n) normal buffers the drawing worker fills ahead of the
-# path updates; 3 ran fastest on 2 cores, 2 gave back part of the gain.
-DRAW_SLOTS = 3
 
 
 @dataclass(frozen=True)
@@ -75,36 +72,68 @@ def _chol(R):
         return np.linalg.cholesky(R + shift * np.eye(4))
 
 
-def _simulate_batch(model, option, n, steps, dt, increments, estimator):
-    """Simulate one batch with each step's ``increments()``; returns per-path contributions."""
-    x = np.full(n, np.log(model.s0))
-    v = np.full(n, model.v0)
-    rd = np.full(n, model.rd0)
-    rf = np.full(n, model.rf0)
+def _simulate_batch(model, option, steps, dt, increments, estimator, work):
+    """Simulate one batch with each step's ``increments()``; returns per-path contributions.
+
+    ``work`` is an (8, n) buffer reused across batches: rows 0-4 hold the
+    state (x, v, r_d, r_f, the discount integral), rows 5-7 scratch.  Every
+    update is done in place in the operation order of its expression, e.g.
+    ``x + (rd - rf - 0.5 * vp) * dt + sq * dw[0]``.
+    """
+    x, v, rd, rf, disc, vp, sq, a = work
+    x.fill(np.log(model.s0))
+    v.fill(model.v0)
+    rd.fill(model.rd0)
+    rf.fill(model.rf0)
+    disc.fill(0.0)  # trapezoidal integral of r_d
     T = option.maturity
-    disc = np.zeros(n)  # trapezoidal integral of r_d
-    rho_sf = model.rho_sf
+    half_dt = 0.5 * dt
+    eta_rho_f = model.eta_f * model.rho_sf
     for k in range(steps):
         t = k * dt
         dw = increments()
-        vp = np.maximum(v, 0.0)
-        sq = np.sqrt(vp)
-        disc += 0.5 * dt * rd
+        np.maximum(v, 0.0, out=vp)
+        np.sqrt(vp, out=sq)
+        disc += np.multiply(half_dt, rd, out=a)
         # backward-time levels evaluated at tau = T - t
         th_d, th_f = map(float, model.levels(T - t))
-        x = x + (rd - rf - 0.5 * vp) * dt + sq * dw[0]
-        v = v + model.kappa * (model.vbar - vp) * dt + model.gamma * sq * dw[1]
-        rd = rd + model.lambda_d * (th_d - rd) * dt + model.eta_d * dw[2]
-        rf = (
-            rf
-            + (model.lambda_f * (th_f - rf) - model.eta_f * rho_sf * sq) * dt
-            + model.eta_f * dw[3]
-        )
-        disc += 0.5 * dt * rd
-    s_T = np.exp(x)
-    df = np.exp(-disc)
+        # v + kappa * (vbar - vp) * dt + gamma * sq * dw[1]
+        np.subtract(model.vbar, vp, out=a)
+        np.multiply(model.kappa, a, out=a)
+        a *= dt
+        v += a
+        np.multiply(model.gamma, sq, out=a)
+        a *= dw[1]
+        v += a
+        # x + (rd - rf - 0.5 * vp) * dt + sq * dw[0]; vp is not read after this
+        vp *= 0.5
+        np.subtract(rd, rf, out=a)
+        a -= vp
+        a *= dt
+        x += a
+        x += np.multiply(sq, dw[0], out=a)
+        # rd + lambda_d * (th_d - rd) * dt + eta_d * dw[2]
+        np.subtract(th_d, rd, out=a)
+        np.multiply(model.lambda_d, a, out=a)
+        a *= dt
+        rd += a
+        rd += np.multiply(model.eta_d, dw[2], out=a)
+        # rf + (lambda_f * (th_f - rf) - eta_f * rho_sf * sq) * dt + eta_f * dw[3];
+        # sq is not read after this
+        np.subtract(th_f, rf, out=a)
+        np.multiply(model.lambda_f, a, out=a)
+        sq *= eta_rho_f
+        a -= sq
+        a *= dt
+        rf += a
+        rf += np.multiply(model.eta_f, dw[3], out=a)
+        disc += np.multiply(half_dt, rd, out=a)
+    s_T = np.exp(x, out=x)
+    df = np.exp(np.negative(disc, out=disc), out=disc)
     if estimator == "price":
-        return df * option.payoff(s_T)
+        samples = option.payoff(s_T)
+        samples *= df
+        return samples
     # pathwise delta
     if option.kind == "call":
         return df * (s_T > option.strike) * s_T / model.s0
@@ -118,27 +147,50 @@ def _run(model, option, cfg, estimator):
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     sqdt = sqrt(dt)
     sizes = [min(BATCH_SIZE, cfg.paths - done) for done in range(0, cfg.paths, BATCH_SIZE)]
-    # Draw k fills slot k % DRAW_SLOTS, the slot that draw k - DRAW_SLOTS freed.
-    slots = [np.empty(4 * sizes[0]) for _ in range(DRAW_SLOTS)]
-    outs = (slots[k % DRAW_SLOTS][:4 * n].reshape(4, n)
-            for k, n in enumerate(n for n in sizes for _ in range(steps)))
+    # One (4, n) buffer for the normals and one for the increments, 1.6 MB
+    # each.  With both experiment-2 points side by side on 2 cores, a ring of
+    # 2 or 3 normal buffers was no faster and took peak RSS from +3% to +8%
+    # or +16% over one call at a time.  The worker forms the product, so the
+    # next draw does not wait for the paths to read the last one.
+    z = np.empty(4 * sizes[0])
+    dw_buf = np.empty(4 * sizes[0])
+    work = np.empty((8, sizes[0]))
+    shapes = [(4, n) for n in sizes for _ in range(steps)]
+
+    def view(buf, k):
+        return buf[:4 * shapes[k][1]].reshape(shapes[k])
+
+    def correlate(drawn, k):
+        drawn.result()  # a failed draw fails its step
+        dw = np.matmul(L, view(z, k), out=view(dw_buf, k))
+        dw *= sqdt
+        return dw
+
     total = 0.0
     total_sq = 0.0
-    # One worker runs the draws in submission order, i.e. in stream order;
-    # leaving the block joins it, also on an error.
+    # One worker runs its tasks in submission order: step k's draw, step k's
+    # product, step k + 1's draw, ...  So a draw overwrites z only after the
+    # product before it has read it, and step k's product, submitted when the
+    # paths ask for step k, overwrites dw_buf only after they are done with
+    # step k - 1.  Leaving the block joins the worker, also on an error.
     with ThreadPoolExecutor(max_workers=1) as worker:
-        draws = (worker.submit(rng.standard_normal, out=out) for out in outs)
-        pending = deque(islice(draws, DRAW_SLOTS))
+        drawn = worker.submit(rng.standard_normal, out=view(z, 0))
+        k = 0
 
         def increments():
-            dw = (L @ pending.popleft().result()) * sqdt
-            pending.extend(islice(draws, 1))  # the next draw, into the slot just read
-            return dw
+            nonlocal drawn, k
+            product = worker.submit(correlate, drawn, k)
+            k += 1
+            if k < len(shapes):
+                drawn = worker.submit(rng.standard_normal, out=view(z, k))
+            return product.result()
 
         for n in sizes:
-            samples = _simulate_batch(model, option, n, steps, dt, increments, estimator)
+            samples = _simulate_batch(model, option, steps, dt, increments, estimator,
+                                      work[:, :n])
             total += float(np.sum(samples))
-            total_sq += float(np.sum(samples * samples))
+            samples *= samples
+            total_sq += float(np.sum(samples))
     paths = cfg.paths
     mean = total / paths
     if paths > 1:

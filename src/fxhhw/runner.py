@@ -7,6 +7,7 @@ import math
 import os
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -120,6 +121,35 @@ def _solve_row(cfg: ExperimentConfig):
     return fld, ConvergenceRow(m=cfg.m, values=values, rel_errors=errors, elapsed=elapsed)
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def simulate_points(model, option, mc_cfg, points):
+    """One ``simulate_price`` estimate per (s, v, r_d, r_f) point, in order.
+
+    The points run side by side, at most one per usable CPU: the calling
+    thread takes the first, a thread pool the rest, and the pool is joined
+    before this returns, also on an error.  Each estimate depends only on its
+    point and ``mc_cfg`` (counter-based Philox draws), not on the thread.
+    """
+    models = [replace(model, s0=s, v0=v, rd0=rd, rf0=rf) for s, v, rd, rf in points]
+    extra = min(len(models), _usable_cpus()) - 1
+    if extra < 1:
+        return [simulate_price(m, option, mc_cfg) for m in models]
+    pool = ThreadPoolExecutor(max_workers=extra, thread_name_prefix="fxhhw-mc")
+    try:
+        rest = [pool.submit(simulate_price, m, option, mc_cfg) for m in models[1:]]
+        first = simulate_price(models[0], option, mc_cfg)
+        return [first, *(f.result() for f in rest)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentReport:
     """Execute one experiment and emit CSV + human-readable table."""
     fld, row = _solve_row(cfg)
@@ -135,10 +165,9 @@ def run(cfg: ExperimentConfig, out_dir=None, save_field=False) -> ExperimentRepo
         query_labels=[q.label or f"q{i}" for i, q in enumerate(cfg.queries)],
     )
     if cfg.mc is not None:
-        for qp, label in zip(cfg.queries, report.query_labels):
-            s, v0q, rd, rf = qp.point
-            mc_model = replace(cfg.model, s0=s, v0=v0q, rd0=rd, rf0=rf)
-            report.mc_estimates.append((label, simulate_price(mc_model, cfg.option, cfg.mc)))
+        estimates = simulate_points(cfg.model, cfg.option, cfg.mc,
+                                    [q.point for q in cfg.queries])
+        report.mc_estimates = list(zip(report.query_labels, estimates))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         report.write_csv(os.path.join(out_dir, f"{cfg.name}_results.csv"))

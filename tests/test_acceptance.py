@@ -21,9 +21,10 @@ from fxhhw.integrators import (
     krylov_expm_action,
     modified_midpoint_solve,
 )
-from fxhhw.mc import McConfig, simulate_price
-from fxhhw.model import ModelParams, OptionSpec
+from fxhhw.mc import McConfig
+from fxhhw.model import OptionSpec
 from fxhhw.pricing import greeks, payoff_vector, price, relative_error, roc
+from fxhhw.runner import simulate_points
 from fxhhw.stencils import collocation_weights_oracle, first_weight_rows, second_weight_rows
 from conftest import experiment1_model, experiment3_model, experiment_grid
 
@@ -348,15 +349,13 @@ def test_criterion_9_mc_cross_validation(exp1_field_c1, exp2_field):
         (exp1_field_c1, OptionSpec("call", E, 1.0), "exp1"),
         (exp2_field, OptionSpec("put", E, 2.0), "exp2"),
     ):
-        for point, plabel in ((V1_POINT, "V1"), (V2_POINT, "V2")):
+        points = (V1_POINT, V2_POINT)
+        # the two points run side by side, as in `runner.run`
+        estimates = simulate_points(
+            par, opt, McConfig(paths=200_000, steps_per_year=200, seed=17), points
+        )
+        for point, plabel, est in zip(points, ("V1", "V2"), estimates):
             pde = fld.interpolate(point, "cubic")
-            s, v0, rd, rf = point
-            mdl = ModelParams(
-                **{**par.__dict__, "s0": s, "v0": v0, "rd0": rd, "rf0": rf}
-            )
-            est = simulate_price(
-                mdl, opt, McConfig(paths=200_000, steps_per_year=200, seed=17)
-            )
             tol = max(3.0 * est.stderr, 0.005 * abs(est.price))
             checks.append(
                 (f"{label}/{plabel}", pde, est.price, est.stderr, abs(pde - est.price) <= tol)

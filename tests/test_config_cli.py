@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import filecmp
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 import yaml
 
 from fxhhw import cli, operators, pricing, runner
-from fxhhw.config import bundled_config_path, from_dict, from_yaml
+from fxhhw.config import QueryPoint, bundled_config_path, from_dict, from_yaml
 from fxhhw.errors import ConfigError
 from fxhhw.grids import AXES
-from fxhhw.mc import McConfig, simulate_price
+from fxhhw.mc import BATCH_SIZE, McConfig, simulate_price
 from fxhhw.pricing import SolutionField
 from fxhhw.runner import (
     ConvergenceRow,
@@ -303,6 +305,65 @@ class TestRunWithMonteCarlo:
         runner.run(dataclasses.replace(cfg, mc=None), out_dir=str(tmp_path / "plain"))
         name = f"{cfg.name}_results.csv"
         assert (tmp_path / "mc" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    @pytest.fixture
+    def tiny_switch_interval(self):
+        """The interpreter switches threads as often as it can."""
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(saved)
+
+    def test_points_run_side_by_side_with_sequential_bits(self, monkeypatch,
+                                                            tiny_switch_interval):
+        cfg = from_yaml(bundled_config_path("experiment2"))
+        cfg = dataclasses.replace(
+            cfg,
+            queries=[*cfg.queries, QueryPoint(point=(90.0, 0.09, 0.05, 0.08), label="V3")],
+            mc=McConfig(paths=BATCH_SIZE + 700, steps_per_year=3, seed=5),
+        )
+        expected = []
+        for query in cfg.queries:
+            s, v, rd, rf = query.point
+            at_query = dataclasses.replace(cfg.model, s0=s, v0=v, rd0=rd, rf0=rf)
+            expected.append(simulate_price(at_query, cfg.option, cfg.mc))
+        caller = threading.current_thread()
+        before = threading.active_count()
+        real = runner.simulate_price
+        calls = {}  # (s0, rd0) -> (on the caller?, active threads on entry)
+
+        def spy(model, option, mc_cfg):
+            calls[model.s0, model.rd0] = (threading.current_thread() is caller,
+                                          threading.active_count())
+            return real(model, option, mc_cfg)
+
+        def fails_on_second(model, option, mc_cfg):
+            if model.rd0 == cfg.queries[1].point[2]:
+                raise ArithmeticError("second point failed")
+            return real(model, option, mc_cfg)
+
+        # Two CPUs: the caller takes V1, one pool thread V2 and then V3.
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(runner, "simulate_price", spy)
+        report = runner.run(cfg)
+        assert report.mc_estimates == list(zip(["V1", "V2", "V3"], expected))
+        keys = [(q.point[0], q.point[2]) for q in cfg.queries]
+        assert [calls[k][0] for k in keys] == [True, False, False]
+        assert threading.active_count() == before
+
+        monkeypatch.setattr(runner, "simulate_price", fails_on_second)
+        with pytest.raises(ArithmeticError, match="second point failed"):
+            runner.run(cfg)
+        assert threading.active_count() == before
+
+        # One CPU: every point on the caller, one after another, no pool thread.
+        calls.clear()
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(runner, "simulate_price", spy)
+        report = runner.run(cfg)
+        assert report.mc_estimates == list(zip(["V1", "V2", "V3"], expected))
+        assert [calls[k] for k in keys] == [(True, before)] * 3
+        assert threading.active_count() == before
 
 
 class TestSweepHarness:
