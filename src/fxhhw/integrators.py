@@ -173,7 +173,6 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     elif dim > n:
         warnings.warn(f"Krylov dimension {dim} exceeds N={n}; clamped", stacklevel=2)
         dim = n
-    # spla.norm sorts A's indices in place; the Arnoldi rounding depends on this sort.
     norm = float(spla.norm(A, 1)) if A.nnz else 0.0
     substeps = max(1, math.ceil(tau * norm / SUBSTEP_NORM))
     w = v0

@@ -7,18 +7,16 @@ the trapezoidal integral of r_d.  Mean-reversion levels are specified in
 backward time by the model, so the forward simulation evaluates them at
 T - t.  Deterministic for a fixed seed/config: the counter-based Philox
 generator and fixed-size batch reduction make results independent of how the
-work is chunked.  Each call draws its normals and forms their correlated
-increments on a one-worker ``ThreadPoolExecutor``, in stream order (batch by
-batch, step by step), a step ahead of the path updates, and advances each
-batch in place on buffers it allocates once.  ``runner.simulate_points`` runs
-one call per query point side by side, at most one per usable CPU.  The
-estimates do not depend on the thread timing, on the CPU count or on which
-thread makes the call.
+work is chunked.  Each call runs in its caller's thread: it draws its normals
+and forms their correlated increments in stream order (batch by batch, step
+by step), and advances each batch in place on buffers it allocates once.
+``runner.simulate_points`` overlaps the calls of a run's query points, at
+most one per usable CPU.  The estimates do not depend on the CPU count or on
+which thread makes the call.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 from numbers import Integral
@@ -146,51 +144,29 @@ def _run(model, option, cfg, estimator):
     dt = option.maturity / steps
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     sqdt = sqrt(dt)
-    sizes = [min(BATCH_SIZE, cfg.paths - done) for done in range(0, cfg.paths, BATCH_SIZE)]
-    # One (4, n) buffer for the normals and one for the increments, 1.6 MB
-    # each.  With both experiment-2 points side by side on 2 cores, a ring of
-    # 2 or 3 normal buffers was no faster and took peak RSS from +3% to +8%
-    # or +16% over one call at a time.  The worker forms the product, so the
-    # next draw does not wait for the paths to read the last one.
-    z = np.empty(4 * sizes[0])
-    dw_buf = np.empty(4 * sizes[0])
-    work = np.empty((8, sizes[0]))
-    shapes = [(4, n) for n in sizes for _ in range(steps)]
-
-    def view(buf, k):
-        return buf[:4 * shapes[k][1]].reshape(shapes[k])
-
-    def correlate(drawn, k):
-        drawn.result()  # a failed draw fails its step
-        dw = np.matmul(L, view(z, k), out=view(dw_buf, k))
-        dw *= sqdt
-        return dw
-
+    width = min(BATCH_SIZE, cfg.paths)
+    # One (4, n) buffer for the normals and one for the increments, 1.6 MB each.
+    z_buf = np.empty(4 * width)
+    dw_buf = np.empty(4 * width)
+    work = np.empty((8, width))
     total = 0.0
     total_sq = 0.0
-    # One worker runs its tasks in submission order: step k's draw, step k's
-    # product, step k + 1's draw, ...  So a draw overwrites z only after the
-    # product before it has read it, and step k's product, submitted when the
-    # paths ask for step k, overwrites dw_buf only after they are done with
-    # step k - 1.  Leaving the block joins the worker, also on an error.
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        drawn = worker.submit(rng.standard_normal, out=view(z, 0))
-        k = 0
+    for done in range(0, cfg.paths, BATCH_SIZE):
+        n = min(BATCH_SIZE, cfg.paths - done)
+        z = z_buf[:4 * n].reshape(4, n)
+        dw = dw_buf[:4 * n].reshape(4, n)
 
-        def increments():
-            nonlocal drawn, k
-            product = worker.submit(correlate, drawn, k)
-            k += 1
-            if k < len(shapes):
-                drawn = worker.submit(rng.standard_normal, out=view(z, k))
-            return product.result()
+        def increments(z=z, dw=dw):
+            rng.standard_normal(out=z)
+            np.matmul(L, z, out=dw)
+            dw *= sqdt
+            return dw
 
-        for n in sizes:
-            samples = _simulate_batch(model, option, steps, dt, increments, estimator,
-                                      work[:, :n])
-            total += float(np.sum(samples))
-            samples *= samples
-            total_sq += float(np.sum(samples))
+        samples = _simulate_batch(model, option, steps, dt, increments, estimator,
+                                  work[:, :n])
+        total += float(np.sum(samples))
+        samples *= samples
+        total_sq += float(np.sum(samples))
     paths = cfg.paths
     mean = total / paths
     if paths > 1:

@@ -322,6 +322,8 @@ def impose_boundaries(
         boundary rows of the differentiation matrices, holds on every face.
 
     The operator is singular by construction under ``dirichlet`` (zero rows).
+    Its matrices have sorted column indices, so every solver sums a row in
+    one order and none has to sort its operand.
     """
     violations = boundary_violations(mode, option.kind)
     if violations:
@@ -337,4 +339,6 @@ def impose_boundaries(
         if parts is not None:
             parts = tuple(_zero_rows(B, pinned) for B in parts)
 
+    for A in (base, *(parts or ())):
+        A.sort_indices()
     return dataclasses.replace(op, base=base, theta_parts=parts, pinned=pinned)

@@ -134,8 +134,10 @@ def simulate_points(model, option, mc_cfg, points):
 
     The points run side by side, at most one per usable CPU: the calling
     thread takes the first, a thread pool the rest, and the pool is joined
-    before this returns, also on an error.  Each estimate depends only on its
-    point and ``mc_cfg`` (counter-based Philox draws), not on the thread.
+    before this returns, also on an error.  Each call draws in the thread that
+    runs it, so these are the only threads the package starts.  Each estimate
+    depends only on its point and ``mc_cfg`` (counter-based Philox draws), not
+    on the thread.
     """
     models = [replace(model, s0=s, v0=v, rd0=rd, rf0=rf) for s, v, rd, rf in points]
     extra = min(len(models), _usable_cpus()) - 1

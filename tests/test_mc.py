@@ -64,8 +64,22 @@ class TestConfigValidation:
         assert (cfg.paths, cfg.steps_per_year, cfg.seed) == (10, 5, 3)
 
 
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
 class TestDeterministicLimit:
-    def test_price_matches_closed_form(self):
+    def test_price_matches_closed_form(self, thread_starts):
         r_d, r_f, s0 = 0.1, 0.05, 200.0
         model = deterministic_model(r_d, r_f, s0)
         opt = OptionSpec("call", 100.0, 1.0)
@@ -73,14 +87,16 @@ class TestDeterministicLimit:
         want = math.exp(-r_d) * (s0 * math.exp(r_d - r_f) - 100.0)
         assert est.price == pytest.approx(want, rel=1e-9)
         assert est.stderr < 1e-5
+        assert thread_starts == []  # drawn in the caller's thread
 
-    def test_pathwise_delta_deterministic(self):
+    def test_pathwise_delta_deterministic(self, thread_starts):
         r_d, r_f, s0 = 0.1, 0.05, 200.0
         model = deterministic_model(r_d, r_f, s0)
         opt = OptionSpec("call", 100.0, 1.0)
         est = pathwise_delta(model, opt, McConfig(paths=64, steps_per_year=64, seed=1))
         want = math.exp(-r_d) * math.exp(r_d - r_f)  # indicator * s_T/s0 * discount
         assert est.price == pytest.approx(want, rel=1e-9)
+        assert thread_starts == []
 
 
 class TestReproducibility:
@@ -144,12 +160,12 @@ def returns_within(seconds, fn, *args):
     return out["value"]
 
 
-class TestDrawAhead:
-    """The normals are drawn on one worker thread per call, which never outlives it."""
+class TestCallerThread:
+    """A call runs in its caller's thread: errors reach it, concurrent calls keep their bits."""
 
-    def test_consumer_error_stops_and_joins_the_worker(self, par1):
-        # Three batches of 20 steps: when batch 2's payoff raises, the worker
-        # is waiting on a full ring for batch 3's draws.
+    def test_payoff_error_reaches_the_caller(self, par1):
+        # Three batches of 20 steps: batch 2's payoff raises, and batch 3 is
+        # never drawn.
         before = threading.active_count()
         opt = PayoffFailsAfterFirstBatch()
         with pytest.raises(ArithmeticError, match="payoff failed in batch 2"):
@@ -180,9 +196,9 @@ class TestDrawAhead:
         assert threading.active_count() == before
 
     def test_concurrent_calls_under_fast_thread_switching_bitwise(self, par1):
-        # Four callers, each with its own drawing thread, switching every
-        # microsecond: a draw taken out of order or a slot reused before it is
-        # released would change the bits.
+        # Four callers, each drawing in its own thread, switching every
+        # microsecond: a generator or buffer shared between calls would change
+        # the bits.
         opt = OptionSpec("call", 100.0, 1.0)
         cfg = McConfig(paths=BATCH_SIZE + 700, steps_per_year=10, seed=9)
         want = simulate_price(par1, opt, cfg)

@@ -154,6 +154,23 @@ class TestPriceSolutionBasics:
         else:
             assert args[2:] == (1.0,) and kwargs == {}
 
+    def test_krylov_solve_leaves_the_operator_as_built(self, par1, monkeypatch):
+        # impose_boundaries sorts the column indices once; the Krylov kernel's
+        # norm then has nothing to reorder in the field's operator.
+        seen = []
+        kernel = pricing.krylov_expm_action
+
+        def record(A, *args, **kwargs):
+            seen.append(A.indices.copy())
+            return kernel(A, *args, **kwargs)
+
+        monkeypatch.setattr(pricing, "krylov_expm_action", record)
+        fld = price(par1, OptionSpec("call", 100.0, 1.0), experiment_grid((6, 5, 4, 4)),
+                    solver="krylov", boundary="dirichlet", krylov=KrylovConfig(dim=20))
+        base = fld.operator.base
+        assert base.has_sorted_indices
+        np.testing.assert_array_equal(base.indices, seen[0])
+
     def test_midpoint_requires_delta_tau(self, par3):
         opt = OptionSpec("call", 100.0, 0.25)
         g = experiment_grid((6, 5, 4, 4))
