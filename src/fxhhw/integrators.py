@@ -10,10 +10,10 @@ eigenvalue of its symmetric part, the quantity the stability criterion uses.
 
 Only two paths load scipy's dense and sparse linear algebra, which together
 cost about 10 MB of resident memory and 0.1 s to import: the Arnoldi action
-imports ``scipy.linalg`` for expm(H) and ``scipy.sparse.linalg`` for
-||A||_1, and the sparse spectral diagnostics import ``scipy.sparse.linalg``
-(which loads ``scipy.linalg``) for ARPACK.  The Chebyshev action and the
-midpoint stepper load neither.
+imports ``scipy.linalg`` for expm(H) (it sums ||A||_1 itself), and the
+sparse spectral diagnostics import ``scipy.sparse.linalg`` (which loads
+``scipy.linalg``) for ARPACK.  The Chebyshev action and the midpoint stepper
+load neither.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ BASIS_BUDGET_BYTES = 2**30
 # Solve times on experiment 1 and the criterion-4 rungs are flat from 1000 to
 # 2000 and rise above; the best value follows the stencil density, not N or T.
 SUBSTEP_NORM = 1000.0
+# Entries of A per slice of the column sums behind ||A||_1: 512 KB of |values|
+# at a time.  In an experiment-1 solve, slices of 2**20 entries left 5 MiB
+# more resident under the Krylov basis, and a whole copy of |A| 38 MiB more.
+NORM_SLICE = 2**16
 # Arnoldi steps between residual checks.  Each check exponentiates the
 # Hessenberg matrix: on experiment 1 (2 cores) a cadence of 2 took 17.6 s
 # against 14.0-14.8 s at 10.
@@ -145,8 +149,9 @@ def _expm_operands(A, v, tau):
 def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     """Approximate exp(tau*A) @ v0 with an Arnoldi-projected exponential.
 
-    Builds an orthonormal basis of span{v0, A v0, ..., A^(Y-1) v0} by modified
-    Gram-Schmidt, then returns beta * V_Y exp(tau H_Y) e1.  The horizon
+    Builds an orthonormal basis of span{v0, A v0, ..., A^(Y-1) v0} by classical
+    Gram-Schmidt with one re-orthogonalization pass, then returns
+    beta * V_Y exp(tau H_Y) e1.  The horizon
     ``tau > 0`` scales only the small Hessenberg matrix and the residual,
     never A.  It is covered by k = max(1, ceil(tau * ||A||_1 / SUBSTEP_NORM))
     Arnoldi solves of horizon tau / k applied in turn, the exact composition
@@ -157,8 +162,6 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     tolerance, raises instead of returning silently.  A zero ``v0`` returns
     zeros; a non-finite ``A`` or ``v0`` is refused.
     """
-    import scipy.sparse.linalg as spla
-
     cfg = cfg or KrylovConfig()
     A, v0 = _expm_operands(A, v0, tau)
     n = A.shape[0]
@@ -173,7 +176,7 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     elif dim > n:
         warnings.warn(f"Krylov dimension {dim} exceeds N={n}; clamped", stacklevel=2)
         dim = n
-    norm = float(spla.norm(A, 1)) if A.nnz else 0.0
+    norm = _norm_1(A)
     substeps = max(1, math.ceil(tau * norm / SUBSTEP_NORM))
     w = v0
     for _ in range(substeps):
@@ -181,11 +184,21 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     return w
 
 
+def _norm_1(A):
+    """||A||_1 of a CSR matrix: the largest column sum of |A|, each sum
+    accumulated entry by entry in storage order, as A.T @ ones does, over
+    ``NORM_SLICE`` entries at a time, so that no copy of A's values exists."""
+    sums = np.zeros(A.shape[1])
+    for i in range(0, A.nnz, NORM_SLICE):
+        np.add.at(sums, A.indices[i:i + NORM_SLICE], np.abs(A.data[i:i + NORM_SLICE]))
+    return float(sums.max()) if A.nnz else 0.0
+
+
 def _arnoldi_step(A, V, HT, j):
     """Arnoldi step j on the basis rows V[:j+1]: writes column j of H into
     row j of HT and returns the new direction (not yet normalized) and its
-    norm h_{j+1,j}.  Gram-Schmidt with one re-orthogonalization pass
-    (numerically equivalent to the modified Gram-Schmidt loop, but BLAS-2
+    norm h_{j+1,j}.  Classical Gram-Schmidt with one re-orthogonalization
+    pass (as accurate as the modified Gram-Schmidt loop, but BLAS-2
     throughout)."""
     w = A @ V[j]
     Q = V[: j + 1]

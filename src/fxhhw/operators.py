@@ -5,7 +5,11 @@ closed-form RBF-FD weights (or their classical FD limits).  Every PDE
 coefficient factorizes over the four axes (s^2 v, s sqrt(v), r_d s - r_f s,
 ...), so the operator is a table of separable terms: each row is a scalar
 times one Kronecker product of four small per-axis factors, diag(coef) @ D,
-diag(coef), D or the identity, in the natural ordering of ``grids``.
+diag(coef), D or the identity, in the natural ordering of ``grids``.  The
+factors are banded, and the table is built from their bands, not from
+Kronecker products: each band combination of a row falls on one flat stencil
+offset (37 on the bundled grids), every term adds into one array per offset, and
+the CSR matrix is written once from those arrays.
 
 The operator splits as A(tau) = A0 + theta_d(tau)*Bd + theta_f(tau)*Bf so
 time stepping does not reassemble anything; unless it is time dependent, the
@@ -15,8 +19,7 @@ levels at tau = 1 are folded into the base matrix.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import operator
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +38,9 @@ BOUNDARY_MODES = {
     "abc": (),
 }
 THETA_MODES = ("time_dependent", "constant_approx")
+# Operator rows written to CSR at a time: bounds the (rows, offsets) blocks
+# of the write to a few MB.
+ROW_BLOCK = 2**14
 
 
 def theta_mode_violations(mode):
@@ -156,18 +162,75 @@ def _diag(coef):
     return sp.diags(coef)
 
 
-def _kron_term(scale, factors, grid):
-    """scale * (F_rf kron F_rd kron F_v kron F_s); absent axes are identities."""
+def _bands(F):
+    """{k: b} for every diagonal k of the square sparse matrix F, where
+    b[i] = F[i, i + k] and zero where i + k falls outside."""
+    m = F.shape[0]
+    out = {}
+    for k in F.todia().offsets.tolist():
+        out[k] = np.zeros(m)
+        out[k][max(0, -k): m - max(0, k)] = F.diagonal(k)
+    return out
+
+
+def _term_products(grid, scale, factors):
+    """(flat offset, entries) of every band combination of one table row.
+
+    The entries of scale * (F_rf kron F_rd kron F_v kron F_s) on the flat
+    stencil offset sum_ax k_ax * stride_ax, as an array that broadcasts to
+    the field shape (m_rf, m_rd, m_v, m_s) of the natural ordering: the
+    product (((f_rf * f_rd) * f_v) * f_s) * scale, the one the Kronecker
+    product forms, with absent axes (identities) left out.
+    """
     if not np.isfinite(scale):
         raise AssemblyError("non-finite coefficient field encountered")
-    out = None
-    for ax in AXES[::-1]:
-        f = factors.get(ax)
-        if f is None:
-            f = sp.identity(grid.axis_nodes(ax).size, format="csr")
-        out = f if out is None else sp.kron(out, f, format="csr")
-    out.data *= scale
-    return out
+    combos = [(0, 1.0)]  # 1.0 * f is f, bit for bit
+    for k in reversed(range(len(AXES))):
+        F = factors.get(AXES[k])
+        if F is None:
+            continue
+        stride, view = math.prod(grid.shape[:k]), [1] * len(AXES)
+        view[len(AXES) - 1 - k] = -1
+        combos = [(off + band * stride, t * b.reshape(view))
+                  for off, t in combos for band, b in _bands(F).items()]
+    return [(off, t * scale) for off, t in combos]
+
+
+def _band_matrix(grid, parts):
+    """CSR matrix of the sum over ``parts`` (level, rows) of level times each
+    row's separable term, with sorted int32 column indices.
+
+    Each entry is the float expression of the Kronecker assembly: the terms
+    summed in row order, part after part (a level of 1.0 is exact, and a
+    theta part has one row, so level * term is level * part).  Every
+    term adds into one array per flat stencil offset; the CSR is then
+    written once, ``ROW_BLOCK`` rows at a time, keeping the nonzero entries.
+    """
+    n = grid.n
+    terms = [(off, level * t) for level, rows in parts for scale, factors in rows
+             for off, t in _term_products(grid, scale, factors)]
+    offsets = sorted({off for off, _ in terms})
+    slot = {off: i for i, off in enumerate(offsets)}
+    acc = np.zeros((len(offsets), n))
+    acc4 = acc.reshape(len(offsets), *grid.shape[::-1])
+    for off, t in terms:
+        acc4[slot[off]] += t
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(acc, axis=0), out=indptr[1:])
+    idx = np.int32 if max(n, indptr[-1]) <= np.iinfo(np.int32).max else np.int64
+    indptr = indptr.astype(idx)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=idx)
+    offsets = np.array(offsets, dtype=idx)
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        block = acc[:, r0:r1].T
+        if not np.isfinite(block).all():
+            raise AssemblyError("assembled operator contains non-finite entries")
+        keep = block != 0
+        lo, hi = indptr[r0], indptr[r1]
+        data[lo:hi] = block[keep]
+        indices[lo:hi] = (np.arange(r0, r1, dtype=idx)[:, None] + offsets)[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _term_table(grid, p, D1, D2):
@@ -291,16 +354,18 @@ def assemble_operator(
 
     D1 = {ax: first_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
     D2 = {ax: second_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
-    base, Bd, Bf = (
-        functools.reduce(operator.add, (_kron_term(a, f, grid) for a, f in rows))
-        for rows in _term_table(grid, params, D1, D2).values()
-    )
-    op = AssembledOperator(base=base, theta_parts=(Bd, Bf), grid=grid, params=params, d1=D1)
-    if not time_dependent_operator(theta_mode, params.theta_d_params, params.theta_f_params):
-        op = dataclasses.replace(op, base=op.matrix(1.0), theta_parts=None)
-    if not np.all(np.isfinite(op.base.data)):
-        raise AssemblyError("assembled operator contains non-finite entries")
-    return op
+    table = _term_table(grid, params, D1, D2)
+    if time_dependent_operator(theta_mode, params.theta_d_params, params.theta_f_params):
+        base, Bd, Bf = (_band_matrix(grid, [(1.0, rows)]) for rows in table.values())
+        theta_parts = (Bd, Bf)
+    else:
+        # A(1) = A0 + theta_d(1)*Bd + theta_f(1)*Bf, folded entry by entry.
+        th_d, th_f = params.levels(1.0)
+        base = _band_matrix(grid, [(1.0, table["base"]), (float(th_d), table["theta_d"]),
+                                   (float(th_f), table["theta_f"])])
+        theta_parts = None
+    return AssembledOperator(base=base, theta_parts=theta_parts, grid=grid,
+                             params=params, d1=D1)
 
 
 def _zero_rows(A, mask):

@@ -1,9 +1,15 @@
+import dataclasses
+import functools
+import operator
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fxhhw import operators
 from fxhhw.errors import ConfigError, InvalidArgumentError
-from fxhhw.grids import Grid4D
+from fxhhw.grids import AXES, Grid4D, uniform_grid
 from fxhhw.integrators import estimate_lambda_max
 from fxhhw.model import ModelParams, OptionSpec
 from fxhhw.operators import (
@@ -12,6 +18,7 @@ from fxhhw.operators import (
     first_derivative_matrix,
     impose_boundaries,
     second_derivative_matrix,
+    time_dependent_operator,
 )
 from fxhhw.config import bundled_config_path, from_yaml
 from fxhhw.stencils import (
@@ -462,6 +469,76 @@ class TestAssembledOperator:
         # boundary rows contribute O(h/c^2)-scale residuals from the
         # one-sided pairs, amplified by the local convection coefficients
         assert np.max(np.abs(resid)) < 10.0
+
+
+def _kron_reference(g, par, theta_mode, fd_limit):
+    """(A0, (Bd, Bf) or None) as the Kronecker assembly formed them: each row
+    of ``_term_table`` is scale * (F_rf kron F_rd kron F_v kron F_s), the rows
+    add in order, and a folded operator is A0 + theta_d(1)*Bd + theta_f(1)*Bf."""
+    c = dict.fromkeys(AXES) if fd_limit else shape_parameters(g)
+    D1 = {ax: first_derivative_matrix(g.axis_nodes(ax), c[ax]) for ax in AXES}
+    D2 = {ax: second_derivative_matrix(g.axis_nodes(ax), c[ax]) for ax in AXES}
+
+    def term(scale, factors):
+        out = None
+        for ax in AXES[::-1]:
+            f = factors.get(ax, sp.identity(g.axis_nodes(ax).size, format="csr"))
+            out = f if out is None else sp.kron(out, f, format="csr")
+        return scale * out
+
+    base, Bd, Bf = (functools.reduce(operator.add, (term(*row) for row in rows))
+                    for rows in operators._term_table(g, par, D1, D2).values())
+    if time_dependent_operator(theta_mode, par.theta_d_params, par.theta_f_params):
+        return base, (Bd, Bf)
+    th_d, th_f = par.levels(1.0)
+    return base + float(th_d) * Bd + float(th_f) * Bf, None
+
+
+class TestBandAssembly:
+    @pytest.mark.parametrize("grid", [
+        lambda: experiment_grid((6, 5, 4, 4)),
+        lambda: experiment_grid((9, 7, 5, 6)),
+        lambda: uniform_grid((8, 6, 5, 5), 1400.0),
+    ], ids=["stretched-6544", "stretched-9756", "uniform-8655"])
+    @pytest.mark.parametrize("model, theta_mode", [
+        (experiment1_model, "time_dependent"),
+        (experiment3_model, "time_dependent"),
+        (experiment3_model, "constant_approx"),
+    ], ids=["constant-levels", "time-dependent", "constant-approx"])
+    @pytest.mark.parametrize("fd_limit", [False, True], ids=["rbf", "fd"])
+    @pytest.mark.parametrize("mode", ["dirichlet", "abc"])
+    def test_bands_equal_the_kronecker_sum_bitwise(self, grid, model, theta_mode,
+                                                     fd_limit, mode):
+        g, par = grid(), model()
+        op = assemble_operator(g, par, theta_mode=theta_mode, fd_limit=fd_limit)
+        base, parts = _kron_reference(g, par, theta_mode, fd_limit)
+        ref = dataclasses.replace(op, base=base, theta_parts=parts)
+        opt = OptionSpec("call", 100.0, 1.0)
+        # As assembled, and after the boundary rows.
+        for got, want in [(op, ref), [impose_boundaries(o, mode, opt) for o in (op, ref)]]:
+            assert got.is_time_dependent == want.is_time_dependent
+            for A, B in zip((got.base, *(got.theta_parts or ())),
+                            (want.base, *(want.theta_parts or ()))):
+                assert A.indices.dtype == np.int32 and A.has_sorted_indices
+                A, B = A.copy(), B.copy()
+                A.eliminate_zeros()
+                B.eliminate_zeros()
+                for part in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(A, part), getattr(B, part))
+
+    def test_assembly_peak_stays_near_its_output(self):
+        # The Kronecker sums held 3.5 times the returned matrix at their peak.
+        cfg = from_yaml(bundled_config_path("experiment1"))
+        g = cfg.grid()
+        tracemalloc.start()
+        try:
+            op = assemble_operator(g, cfg.model, theta_mode=cfg.theta_mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+                  for M in (op.base, *(op.theta_parts or ())))
+        assert peak < 2.5 * out
 
 
 class TestImposeBoundaries:
