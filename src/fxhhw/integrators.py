@@ -5,6 +5,12 @@ Chebyshev series (matvecs only) or by Arnoldi projection; time-dependent ones
 use an explicit modified midpoint stepper (two internal substeps plus the
 smoothing combination per global step, which keeps the leapfrog parasitic
 mode damped while preserving second order).
+The Arnoldi action runs on the rows of A that move: A's structurally empty
+(Dirichlet-pinned) rows keep their values, which it returns exactly as
+given, and stand in its basis as one coordinate, so the basis it writes
+takes (steps + 1) * (N_free + 1) * 8 bytes.  The subspace budget still
+checks (dim + 1) * N * 8 bytes before anything is built: an upper bound when
+some row is held; with none held, the basis has one entry per vector more.
 Spectral diagnostics report the largest real part of A and the largest
 eigenvalue of its symmetric part, the quantity the stability criterion uses.
 
@@ -36,7 +42,9 @@ DENSE_EIG_CUTOFF = 1000
 EIG_MAXITER = 8000
 # The midpoint stepper aborts when the iterate norm grows past this factor.
 DIVERGENCE_FACTOR = 1e6
-# Memory one Krylov basis may take: (dim + 1) * N * 8 bytes.
+# Memory one Krylov basis may take, checked as (dim + 1) * N * 8 bytes before
+# a solve.  A solve writes (steps + 1) vectors of N_free + 1 entries: within
+# the check when A has an empty row, one entry per vector over it when not.
 BASIS_BUDGET_BYTES = 2**30
 # Largest tau * ||A||_1 one Arnoldi solve covers; a longer horizon is split
 # into equal short solves.  The steps a solve needs grow with tau * ||A|| and
@@ -66,8 +74,9 @@ CHEB_MAX_DEGREE = 10_000
 def krylov_dim_violations(dim, n=None):
     """Every violation of the subspace rules; [] when ``dim`` is valid: an
     explicit ``dim`` is at least 1 and, for N=``n`` rows (None skips this),
-    its (dim + 1) * N * 8-byte basis fits ``BASIS_BUDGET_BYTES``.  ``dim=None``
-    takes the budget cap, which must leave room for one step."""
+    its (dim + 1) * N * 8-byte basis fits ``BASIS_BUDGET_BYTES`` (a solve
+    writes (steps + 1) * (N_free + 1) * 8 bytes; see that constant).
+    ``dim=None`` takes the budget cap, which must leave room for one step."""
     if dim is not None and dim < 1:
         return [f"Krylov subspace dimension must be >= 1, got {dim}"]
     rows = (1 if dim is None else dim) + 1
@@ -98,8 +107,10 @@ class KrylovConfig:
     1e-14 * ||A||_1, and otherwise once the residual estimate, computed every
     ``CHECK_EVERY`` steps and at the cap, meets ``tol``.  ``dim=None`` caps
     the subspace at the largest basis that fits ``BASIS_BUDGET_BYTES``; an
-    explicit ``dim`` whose basis does not fit is refused.  ``tol`` must be
-    positive and finite.
+    explicit ``dim`` whose basis does not fit is refused.  The budget counts
+    (dim + 1) * N * 8 bytes; the basis written spans only the rows that move,
+    (steps + 1) * (N_free + 1) * 8 bytes.  ``tol`` must be positive and
+    finite.
     """
 
     dim: int | None = None
@@ -156,11 +167,15 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     never A.  It is covered by k = max(1, ceil(tau * ||A||_1 / SUBSTEP_NORM))
     Arnoldi solves of horizon tau / k applied in turn, the exact composition
     (exp(tau A / k))^k; each has the residual gate, the subspace cap and the
-    breakdown rule of a single solve.  Early breakdown (h_{j+1,j} below
-    threshold) truncates the basis and yields the exact action.  If the
-    subspace cap is reached while the residual estimate still exceeds the
-    tolerance, raises instead of returning silently.  A zero ``v0`` returns
-    zeros; a non-finite ``A`` or ``v0`` is refused.
+    breakdown rule of a single solve.  Rows of A with no stored entry hold
+    their values: each short solve returns them from its input bit for bit
+    and runs on the other rows plus one coordinate for the held block (see
+    :class:`_HeldRows`).
+    Early breakdown (h_{j+1,j} below threshold) truncates the basis and
+    yields the exact action.  If the subspace cap is reached while the
+    residual estimate still exceeds the tolerance, raises instead of
+    returning silently.  A zero ``v0`` returns zeros; a non-finite ``A`` or
+    ``v0`` is refused.
     """
     cfg = cfg or KrylovConfig()
     A, v0 = _expm_operands(A, v0, tau)
@@ -178,10 +193,61 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
         dim = n
     norm = _norm_1(A)
     substeps = max(1, math.ceil(tau * norm / SUBSTEP_NORM))
-    w = v0
+    op = _HeldRows(A, np.diff(A.indptr) == 0, v0)
+    z = op.reduce(v0)
     for _ in range(substeps):
-        w = _arnoldi_expm(A, w, dim, tau / substeps, 1e-14 * norm, cfg.tol)
-    return w
+        z = _arnoldi_expm(op, z, dim, tau / substeps, 1e-14 * norm, cfg.tol)
+        z[-1] = op.held_norm  # the reduced input of the next short solve
+    return op.expand(z)
+
+
+class _HeldRows:
+    """A with its structurally empty rows held at their values in v, as the
+    augmented matrix B = [[A_ff, A_fh e], [0, 0]] of order N_free + 1 acting
+    on (x_free, c), where e = v_held / ||v_held||.
+
+    exp(tau A) v keeps v's held rows, and its free rows are those of
+    exp(tau B) (v_free, ||v_held||).  (x, c) -> (x, c e) is an isometry that
+    A maps into itself, so in exact arithmetic the Arnoldi run on B from the
+    reduced vector has the Hessenberg matrix, residuals and step count of
+    the run on A from v, on a basis (N_free + 1) / N the size.  With no
+    empty row, c is 0 throughout.  Each product ``B @ z`` is one matvec
+    with A itself on a preallocated N-vector.
+    """
+
+    def __init__(self, A, empty, v):
+        self.A = A
+        self.free = np.flatnonzero(~empty)
+        self.held = np.flatnonzero(empty)
+        self.v_held = v[self.held]
+        self.held_norm = float(np.linalg.norm(self.v_held))
+        self.shape = (self.free.size + 1,) * 2
+        self._x = np.zeros(A.shape[0])
+
+    def reduce(self, v):
+        """(v_free, ||v_held||) for an N-vector v with the held rows of this one."""
+        z = np.empty(self.shape[0])
+        z[:-1] = v[self.free]
+        z[-1] = self.held_norm
+        return z
+
+    def expand(self, z):
+        """The N-vector with z's free rows and the held rows of v, bit for bit."""
+        w = np.empty(self.A.shape[0])
+        w[self.free] = z[:-1]
+        w[self.held] = self.v_held
+        return w
+
+    def __matmul__(self, z):
+        x = self._x
+        x[self.free] = z[:-1]
+        if self.held_norm:
+            # A zero v_held leaves the held rows of x zero, as c stays 0.
+            x[self.held] = (z[-1] / self.held_norm) * self.v_held
+        out = np.empty(self.shape[0])
+        out[:-1] = (self.A @ x)[self.free]
+        out[-1] = 0.0
+        return out
 
 
 def _norm_1(A):
@@ -524,24 +590,22 @@ def estimate_lambda_max(A):
     except (spla.ArpackNoConvergence, spla.ArpackError):
         converged = False
 
-    # Two-phase shifted Lanczos for the symmetric part: the dominant (most
-    # negative) end converges quickly; shifting by it makes the wanted end
-    # the dominant one.
+    # Shifted by its Gershgorin lower bound lo, the symmetric part has no
+    # eigenvalue below 0, so its top eigenvalue is the dominant one, which
+    # one Lanczos run finds; a Krylov space does not change with the shift.
+    # ARPACK's tol is relative to that shifted value, so sym_lambda_max is
+    # good to about 1e-7 * (lambda_max - lo): lo can lie far below the
+    # spectrum (-12,318 on experiment 1), and the error grows with |lo|.
     S = (0.5 * (M + M.T)).tocsr()
-    ncv = min(n - 1, 48)
+    lo = _gershgorin_lo_and_norm(S)[0]
+    shifted = (S - lo * sp.identity(n, format="csr")).tocsr()
     try:
-        lam_lo = float(
-            spla.eigsh(S, k=1, which="SA", maxiter=EIG_MAXITER, v0=start, ncv=ncv,
-                       tol=1e-7, return_eigenvectors=False)[0]
-        )
-        shifted = (S - lam_lo * sp.identity(n, format="csr")).tocsr()
-        lam_span = float(
+        sym_max = lo + float(
             spla.eigsh(shifted, k=1, which="LM", maxiter=EIG_MAXITER, v0=start,
-                       ncv=ncv, tol=1e-7, return_eigenvectors=False)[0]
+                       ncv=min(n - 1, 48), tol=1e-7, return_eigenvectors=False)[0]
         )
-        sym_max = lam_lo + lam_span
     except spla.ArpackNoConvergence as err:
         converged = False
         vals = getattr(err, "eigenvalues", None)
-        sym_max = float(vals[0]) if vals is not None and len(vals) else np.nan
+        sym_max = lo + float(vals.max()) if vals is not None and len(vals) else np.nan
     return SpectralReport(dom, sym_max, None, converged)

@@ -142,6 +142,46 @@ class TestKrylovExpmAction:
         krylov_expm_action(sp.csr_matrix((200, 200)), v, tau=tau)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("tau, substeps", [(1.0, 1), (0.37, 1), (1.0, 3)])
+    def test_held_rows_return_their_input(self, monkeypatch, tau, substeps):
+        # Experiment 1's Dirichlet rows are structurally empty: Arnoldi runs
+        # on the free rows, and the pinned rows come back exactly as given.
+        opt = OptionSpec("call", 100.0, 1.0)
+        g = experiment_grid((6, 5, 4, 4))
+        A = impose_boundaries(assemble_operator(g, experiment1_model()), "dirichlet",
+                              opt).matrix(0.0)
+        held = np.diff(A.indptr) == 0
+        assert 0 < held.sum() < A.shape[0]
+        if substeps > 1:
+            split_into(monkeypatch, A, tau, substeps)
+        calls = []
+        arnoldi = integrators._arnoldi_expm
+        monkeypatch.setattr(integrators, "_arnoldi_expm",
+                            lambda *args: calls.append(args[0]) or arnoldi(*args))
+        v = payoff_vector(g, opt)
+        got = krylov_expm_action(A, v, KrylovConfig(dim=200, tol=1e-12), tau=tau)
+        want = scipy.linalg.expm(tau * A.toarray()) @ v
+        assert len(calls) == substeps
+        assert all(M.shape[0] == A.shape[0] - held.sum() + 1 for M in calls)
+        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+        np.testing.assert_array_equal(got[held], v[held])
+
+    def test_basis_spans_only_the_free_rows(self, rng):
+        # Half the rows empty: the basis reserved holds N/2 + 1 entries per
+        # vector, not N.
+        n, dim = 50_000, 20
+        A = sp.diags([1e-4 * rng.random(n) for _ in range(5)], range(-2, 3),
+                     shape=(n, n)).tocsr()
+        A = (sp.diags((np.arange(n) % 2 == 0).astype(float)) @ A).tocsr()
+        v = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            krylov_expm_action(A, v, KrylovConfig(dim=dim, tol=1e-6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (dim + 1) * (n // 2 + 1) * 8 < peak < (dim + 1) * n * 8
+
     def test_underflow_to_zero_stays_zero(self):
         # Ten short solves of exp(-1000) each: the first underflows v to exactly 0.
         A = sp.diags(np.full(10, -1e4)).tocsr()
@@ -556,3 +596,17 @@ class TestEstimateLambdaMax:
         assert rep.converged
         assert rep.re_lambda_max == pytest.approx(-500.0, rel=1e-5)
         assert rep.sym_lambda_max == pytest.approx(-1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("partial, want", [([400.0], -100.0), ([], np.nan)])
+    def test_unconverged_lanczos_reports_the_shifted_partial_value(self, monkeypatch,
+                                                                    partial, want):
+        # The Lanczos run sees the symmetric part shifted by its Gershgorin
+        # bound, -500 here: a partial top value of 400 means -100.
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.array(partial), None)
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        rep = estimate_lambda_max(sp.diags(-np.linspace(1.0, 500.0, 2000)).tocsr())
+        assert not rep.converged
+        np.testing.assert_equal(rep.sym_lambda_max, want)
+        assert rep.re_lambda_max == pytest.approx(-500.0, rel=1e-5)
