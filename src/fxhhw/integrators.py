@@ -5,12 +5,10 @@ Chebyshev series (matvecs only) or by Arnoldi projection; time-dependent ones
 use an explicit modified midpoint stepper (two internal substeps plus the
 smoothing combination per global step, which keeps the leapfrog parasitic
 mode damped while preserving second order).
-The Arnoldi action runs on the rows of A that move: A's structurally empty
-(Dirichlet-pinned) rows keep their values, which it returns exactly as
-given, and stand in its basis as one coordinate, so the basis it writes
-takes (steps + 1) * (N_free + 1) * 8 bytes.  The subspace budget still
-checks (dim + 1) * N * 8 bytes before anything is built: an upper bound when
-some row is held; with none held, the basis has one entry per vector more.
+A row of A with no stored entry (a Dirichlet-pinned row) holds its value
+(:func:`_empty_rows`): both exp-actions return it exactly as given, and the
+Arnoldi action runs on the other rows (its basis budget is stated at
+``BASIS_BUDGET_BYTES``).
 Spectral diagnostics report the largest real part of A and the largest
 eigenvalue of its symmetric part, the quantity the stability criterion uses.
 
@@ -43,8 +41,8 @@ EIG_MAXITER = 8000
 # The midpoint stepper aborts when the iterate norm grows past this factor.
 DIVERGENCE_FACTOR = 1e6
 # Memory one Krylov basis may take, checked as (dim + 1) * N * 8 bytes before
-# a solve.  A solve writes (steps + 1) vectors of N_free + 1 entries: within
-# the check when A has an empty row, one entry per vector over it when not.
+# a solve.  A solve writes (steps + 1) * (N_free + 1) * 8 bytes, N_free the
+# rows not held: within the check unless A has no empty row (one entry over).
 BASIS_BUDGET_BYTES = 2**30
 # Largest tau * ||A||_1 one Arnoldi solve covers; a longer horizon is split
 # into equal short solves.  The steps a solve needs grow with tau * ||A|| and
@@ -74,8 +72,7 @@ CHEB_MAX_DEGREE = 10_000
 def krylov_dim_violations(dim, n=None):
     """Every violation of the subspace rules; [] when ``dim`` is valid: an
     explicit ``dim`` is at least 1 and, for N=``n`` rows (None skips this),
-    its (dim + 1) * N * 8-byte basis fits ``BASIS_BUDGET_BYTES`` (a solve
-    writes (steps + 1) * (N_free + 1) * 8 bytes; see that constant).
+    its basis fits ``BASIS_BUDGET_BYTES``.
     ``dim=None`` takes the budget cap, which must leave room for one step."""
     if dim is not None and dim < 1:
         return [f"Krylov subspace dimension must be >= 1, got {dim}"]
@@ -107,10 +104,8 @@ class KrylovConfig:
     1e-14 * ||A||_1, and otherwise once the residual estimate, computed every
     ``CHECK_EVERY`` steps and at the cap, meets ``tol``.  ``dim=None`` caps
     the subspace at the largest basis that fits ``BASIS_BUDGET_BYTES``; an
-    explicit ``dim`` whose basis does not fit is refused.  The budget counts
-    (dim + 1) * N * 8 bytes; the basis written spans only the rows that move,
-    (steps + 1) * (N_free + 1) * 8 bytes.  ``tol`` must be positive and
-    finite.
+    explicit ``dim`` whose basis does not fit is refused.  ``tol`` must be
+    positive and finite.
     """
 
     dim: int | None = None
@@ -144,6 +139,12 @@ def _vector_operand(v, n):
     return v
 
 
+def _empty_rows(A):
+    """Mask of the rows of CSR ``A`` with no stored entry: the rows that hold
+    their values under exp(tau*A), since A maps every vector to 0 there."""
+    return np.diff(A.indptr) == 0
+
+
 def _expm_operands(A, v, tau):
     """(A as CSR, v as a flat float vector) for exp(tau*A) @ v, after the
     operand rules both exp-actions share: v has A's row count, 0 < tau < inf,
@@ -160,17 +161,16 @@ def _expm_operands(A, v, tau):
 def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     """Approximate exp(tau*A) @ v0 with an Arnoldi-projected exponential.
 
-    Builds an orthonormal basis of span{v0, A v0, ..., A^(Y-1) v0} by classical
-    Gram-Schmidt with one re-orthogonalization pass, then returns
-    beta * V_Y exp(tau H_Y) e1.  The horizon
+    Builds an orthonormal basis of span{v0, A v0, ..., A^(Y-1) v0} (see
+    :func:`_arnoldi`), then returns beta * V_Y exp(tau H_Y) e1.  The horizon
     ``tau > 0`` scales only the small Hessenberg matrix and the residual,
     never A.  It is covered by k = max(1, ceil(tau * ||A||_1 / SUBSTEP_NORM))
     Arnoldi solves of horizon tau / k applied in turn, the exact composition
     (exp(tau A / k))^k; each has the residual gate, the subspace cap and the
     breakdown rule of a single solve.  Rows of A with no stored entry hold
-    their values: each short solve returns them from its input bit for bit
-    and runs on the other rows plus one coordinate for the held block (see
-    :class:`_HeldRows`).
+    their values (:func:`_empty_rows`): each short solve returns them from
+    its input bit for bit and runs on the other rows plus one coordinate for
+    the held block (see :class:`_HeldRows`).
     Early breakdown (h_{j+1,j} below threshold) truncates the basis and
     yields the exact action.  If the subspace cap is reached while the
     residual estimate still exceeds the tolerance, raises instead of
@@ -193,7 +193,7 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
         dim = n
     norm = _norm_1(A)
     substeps = max(1, math.ceil(tau * norm / SUBSTEP_NORM))
-    op = _HeldRows(A, np.diff(A.indptr) == 0, v0)
+    op = _HeldRows(A, _empty_rows(A), v0)
     z = op.reduce(v0)
     for _ in range(substeps):
         z = _arnoldi_expm(op, z, dim, tau / substeps, 1e-14 * norm, cfg.tol)
@@ -260,22 +260,32 @@ def _norm_1(A):
     return float(sums.max()) if A.nnz else 0.0
 
 
-def _arnoldi_step(A, V, HT, j):
-    """Arnoldi step j on the basis rows V[:j+1]: writes column j of H into
-    row j of HT and returns the new direction (not yet normalized) and its
-    norm h_{j+1,j}.  Classical Gram-Schmidt with one re-orthogonalization
-    pass (as accurate as the modified Gram-Schmidt loop, but BLAS-2
-    throughout)."""
-    w = A @ V[j]
-    Q = V[: j + 1]
-    h = Q @ w
-    w -= Q.T @ h
-    corr = Q @ w
-    w -= Q.T @ corr
-    hnext = float(np.linalg.norm(w))
-    HT[j, : j + 1] = h + corr
-    HT[j, j + 1] = hnext
-    return w, hnext
+def _arnoldi(A, v, steps, btol):
+    """Up to ``steps`` Arnoldi steps on A from v, by classical Gram-Schmidt
+    with one re-orthogonalization pass (as accurate as modified Gram-Schmidt,
+    but BLAS-2 throughout).  Yields (V, HT, j, h_{j+1,j}) after step j: the
+    basis as rows of V and H transposed in HT (row j = column j of H), both
+    reserved at the cap and written a row per step, so only the rows written
+    become resident.  A breakdown, h_{j+1,j} <= ``btol``, writes no basis row
+    and ends the run."""
+    V = np.empty((steps + 1, A.shape[0]))
+    HT = np.zeros((steps, steps + 1))
+    V[0] = v / np.linalg.norm(v)
+    for j in range(steps):
+        w = A @ V[j]
+        Q = V[: j + 1]
+        h = Q @ w
+        w -= Q.T @ h
+        corr = Q @ w
+        w -= Q.T @ corr
+        hnext = float(np.linalg.norm(w))
+        HT[j, : j + 1] = h + corr
+        HT[j, j + 1] = hnext
+        if hnext <= btol:
+            yield V, HT, j, hnext
+            return
+        V[j + 1] = w / hnext
+        yield V, HT, j, hnext
 
 
 def _arnoldi_expm(A, v0, dim, scale, btol, tol):
@@ -288,21 +298,13 @@ def _arnoldi_expm(A, v0, dim, scale, btol, tol):
     if beta == 0.0:
         # An earlier short solve underflowed to zero, and exp(scale*A) 0 = 0.
         return v0
-    # Basis vectors stored as contiguous rows.  V and the transposed
-    # Hessenberg matrix HT (row j = column j of H) are reserved at the cap
-    # and written one row per step, so only the rows written become resident.
-    V = np.empty((dim + 1, A.shape[0]))
-    HT = np.zeros((dim, dim + 1))
-    V[0] = v0 / beta
     used = dim
     residual = np.inf
     expH = None
-    for j in range(dim):
-        w, hnext = _arnoldi_step(A, V, HT, j)
+    for V, HT, j, hnext in _arnoldi(A, v0, dim, btol):
         if hnext <= btol:
             used, residual, expH = j + 1, 0.0, None
             break
-        V[j + 1] = w / hnext
         if (j + 1) % CHECK_EVERY == 0 or j == dim - 1:
             expH = scipy.linalg.expm(scale * HT[: j + 1, : j + 1].T.copy())
             residual = beta * (scale * hnext) * abs(expH[j, 0])
@@ -333,8 +335,9 @@ def chebyshev_expm_action(A, v, tau=1.0):
     series needs only matvecs and four N-vectors (see
     :func:`_chebyshev_series`).  A hi below the rightmost eigenvalue is
     harmless while the coefficients outrun the growth of the terms; the
-    rounding indicator refuses the sum when they do not.  A zero ``v``
-    returns zeros; a non-finite ``A`` or ``v`` is refused.
+    rounding indicator refuses the sum when they do not.  Rows of A with no
+    stored entry (:func:`_empty_rows`) come back from v bit for bit.  A zero
+    ``v`` returns zeros; a non-finite ``A`` or ``v`` is refused.
     """
     A, v = _expm_operands(A, v, tau)
     n = A.shape[0]
@@ -342,7 +345,10 @@ def chebyshev_expm_action(A, v, tau=1.0):
         return np.zeros(n)
     lo, norm = _gershgorin_lo_and_norm(A)
     hi = max(lo, _ritz_hi(A, v, min(RITZ_STEPS, n), 1e-14 * norm))
-    return _chebyshev_series(A, v, tau, lo, hi)
+    y = _chebyshev_series(A, v, tau, lo, hi)
+    held = _empty_rows(A)  # which the series returns only to rounding
+    y[held] = v[held]
+    return y
 
 
 def _gershgorin_lo_and_norm(A):
@@ -355,18 +361,10 @@ def _gershgorin_lo_and_norm(A):
 
 
 def _ritz_hi(A, v, steps, btol):
-    """Largest real part of the Ritz values of ``steps`` Arnoldi steps from v."""
-    V = np.empty((steps + 1, A.shape[0]))
-    HT = np.zeros((steps, steps + 1))
-    V[0] = v / np.linalg.norm(v)
-    used = steps
-    for j in range(steps):
-        w, hnext = _arnoldi_step(A, V, HT, j)
-        if hnext <= btol:
-            used = j + 1
-            break
-        V[j + 1] = w / hnext
-    return float(np.linalg.eigvals(HT[:used, :used].T).real.max())
+    """Largest real part of the Ritz values of up to ``steps`` Arnoldi steps from v."""
+    for _, HT, j, _ in _arnoldi(A, v, steps, btol):
+        pass
+    return float(np.linalg.eigvals(HT[: j + 1, : j + 1].T).real.max())
 
 
 def _scaled_bessel_i(z):
@@ -561,14 +559,19 @@ class SpectralReport:
 
 
 def estimate_lambda_max(A):
-    """Spectral diagnostics for an operator or matrix; see SpectralReport.
+    """Spectral diagnostics for an operator (at tau = 0) or a matrix; see
+    SpectralReport.
 
-    For operators with pinned boundary rows the diagnostics apply to the
-    free dynamics block at tau = 0, which excludes the structural zero
-    eigenvalues of the pinned rows.  The sparse path starts every ARPACK run
+    They apply to the free block, the rows with a stored entry and their
+    columns (:func:`_empty_rows`), without the structural zero eigenvalues
+    of the held (Dirichlet-pinned) rows, so a plain matrix gets the report
+    of the operator it came from.  The sparse path starts every ARPACK run
     from the same seeded vector, so repeated calls give identical reports.
     """
-    M = A.free_matrix() if hasattr(A, "free_matrix") else _as_csr(A)
+    M = _as_csr(A.matrix() if hasattr(A, "matrix") else A)
+    free = np.flatnonzero(~_empty_rows(M))
+    if free.size < M.shape[0]:
+        M = M[free][:, free]
     n = M.shape[0]
 
     if n <= DENSE_EIG_CUTOFF:

@@ -284,7 +284,8 @@ class AssembledOperator:
 
     ``theta_parts`` is (Bd, Bf), or None once the levels are folded into
     ``base``.  ``d1`` holds the per-axis 1D first-derivative matrices the
-    operator was assembled from (no boundary rows).
+    operator was assembled from (no boundary rows).  ``pinned`` marks the rows
+    :func:`impose_boundaries` emptied; the solvers find them from the matrix.
     """
 
     base: sp.csr_matrix
@@ -316,14 +317,6 @@ class AssembledOperator:
             (th_d, th_f), (Bd, Bf) = self.params.levels(tau), self.theta_parts
             y = y + float(th_d) * (Bd @ x) + float(th_f) * (Bf @ x)
         return y
-
-    def free_matrix(self):
-        """Restriction of A(0) to non-pinned rows/columns (dynamics block)."""
-        A = self.matrix()
-        if self.pinned is None or not self.pinned.any():
-            return A
-        free = np.flatnonzero(~self.pinned)
-        return A[free][:, free]
 
     @property
     def nnz(self):

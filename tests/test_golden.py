@@ -6,7 +6,9 @@ means to move prices regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and records the largest relative change it made.
+and records the largest relative change it made.  ``experiment1_results.csv``
+was written the same way; CI compares a fresh experiment-1 run with it
+within README's Arnoldi bound, so it is not rewritten with the others.
 """
 
 import csv

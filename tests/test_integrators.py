@@ -27,7 +27,7 @@ from fxhhw.integrators import (
 )
 from fxhhw.model import OptionSpec
 from fxhhw.operators import AssembledOperator, assemble_operator, impose_boundaries
-from fxhhw.pricing import payoff_vector
+from fxhhw.pricing import payoff_vector, price
 from conftest import experiment1_model, experiment3_model, experiment_grid
 
 
@@ -278,24 +278,34 @@ class TestKrylovExpmAction:
         assert err.value.dim == 5
         assert err.value.residual > 0
 
+    def test_field_and_prices_follow_the_tolerance(self):
+        # README's bound for changes to the Arnoldi arithmetic: at tol, the
+        # field lies within 10 * tol of a tol = 1e-12 solve (max norm,
+        # relative to the field's largest entry) and each price within
+        # 10 * tol relative.  This grid's field gap is about 0.1 * tol.
+        cfg = from_yaml(bundled_config_path("experiment1")).with_m((14, 10, 8, 8))
+        tol = KrylovConfig().tol
+        fields = [price(cfg.model, cfg.option, cfg.grid(), solver="krylov",
+                        boundary=cfg.boundary, krylov=KrylovConfig(tol=t))
+                  for t in (tol, 1e-12)]
+        got, ref = (f.values for f in fields)
+        assert np.abs(got - ref).max() <= 10 * tol * np.abs(ref).max()
+        for q in cfg.queries:
+            v, want = (f.interpolate(q.point, method=cfg.interpolation) for f in fields)
+            assert v == pytest.approx(want, rel=10 * tol, abs=0)
+
     def test_arnoldi_basis_orthonormal(self, rng):
+        # The package's own loop: the basis rows it writes are orthonormal,
+        # and A V_k = V_{k+1} H_k (V_k the k basis vectors as columns).
         A = random_stable_sparse(rng)
         v0 = rng.standard_normal(50)
-        beta = np.linalg.norm(v0)
-        V = [v0 / beta]
-        for j in range(49):
-            w = A @ V[j]
-            for q in V:
-                w -= np.dot(q, w) * q
-            for q in V:
-                w -= np.dot(q, w) * q
-            nrm = np.linalg.norm(w)
-            if nrm < 1e-14:
-                break
-            V.append(w / nrm)
-        Q = np.array(V)
-        G = Q @ Q.T
-        assert np.max(np.abs(G - np.eye(len(V)))) < 1e-10
+        for V, HT, j, hnext in integrators._arnoldi(A, v0, 49, 1e-14):
+            pass
+        k = j + 1
+        assert hnext > 1e-14  # no breakdown: k + 1 rows written
+        Q = V[: k + 1]
+        assert np.max(np.abs(Q @ Q.T - np.eye(k + 1))) < 1e-10
+        np.testing.assert_allclose(A @ Q[:k].T, Q.T @ HT[:k].T, rtol=0, atol=1e-12)
 
 
 class TestChebyshevExpmAction:
@@ -303,6 +313,22 @@ class TestChebyshevExpmAction:
         v = rng.standard_normal(40)
         out = chebyshev_expm_action(sp.csr_matrix((40, 40)), v, 3.0)
         np.testing.assert_allclose(out, v, rtol=1e-14)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.37])
+    def test_held_rows_return_their_input(self, tau):
+        # The series carries a Dirichlet row only to rounding; the action
+        # returns it from v bit for bit.
+        opt = OptionSpec("call", 100.0, 1.0)
+        g = experiment_grid((6, 5, 4, 4))
+        A = impose_boundaries(assemble_operator(g, experiment1_model()), "dirichlet",
+                              opt).matrix(0.0)
+        held = np.diff(A.indptr) == 0
+        assert 0 < held.sum() < A.shape[0]
+        v = payoff_vector(g, opt)
+        got = chebyshev_expm_action(A, v, tau)
+        want = scipy.linalg.expm(tau * A.toarray()) @ v
+        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+        np.testing.assert_array_equal(got[held], v[held])
 
     def test_diagonal_with_growing_modes(self, rng):
         # Twenty distinct eigenvalues: the Ritz run breaks down at step 20
@@ -588,6 +614,19 @@ class TestEstimateLambdaMax:
         first = estimate_lambda_max(op)
         assert first.converged
         assert estimate_lambda_max(op) == first
+
+    @pytest.mark.parametrize("m", [(6, 5, 4, 4), (12, 8, 6, 6)])
+    def test_plain_matrix_gets_the_free_block(self, m):
+        # The empty (pinned) rows and their columns leave the report whether
+        # the operator or its matrix is given: dense and sparse paths.
+        op = impose_boundaries(assemble_operator(experiment_grid(m), experiment1_model()),
+                               "dirichlet", OptionSpec("call", 100.0, 1.0))
+        M = op.matrix(0.0)
+        free = np.flatnonzero(~op.pinned)
+        assert 0 < op.pinned.sum() and (free.size <= DENSE_EIG_CUTOFF) == (m[0] == 6)
+        rep = estimate_lambda_max(M)
+        assert rep == estimate_lambda_max(op)
+        assert rep == estimate_lambda_max(M[free][:, free])
 
     def test_large_sparse_path(self, rng):
         d = -np.linspace(1.0, 500.0, 2000)
