@@ -9,6 +9,11 @@ A row of A with no stored entry (a Dirichlet-pinned row) holds its value
 (:func:`_empty_rows`): both exp-actions return it exactly as given, and the
 Arnoldi action runs on the other rows (its basis budget is stated at
 ``BASIS_BUDGET_BYTES``).
+The Arnoldi loop's products and every vector norm here run on numpy's own
+single-threaded loops, not BLAS (see :func:`_arnoldi`), so the BLAS thread
+count reaches an Arnoldi solve only through expm(H), the Chebyshev action
+only through the eigenvalues of its small Ritz matrix, and the midpoint
+stepper not at all.
 Spectral diagnostics report the largest real part of A and the largest
 eigenvalue of its symmetric part, the quantity the stability criterion uses.
 
@@ -47,16 +52,17 @@ BASIS_BUDGET_BYTES = 2**30
 # Largest tau * ||A||_1 one Arnoldi solve covers; a longer horizon is split
 # into equal short solves.  The steps a solve needs grow with tau * ||A|| and
 # each Gram-Schmidt pass reads the whole basis, so short solves cost less.
-# Solve times on experiment 1 and the criterion-4 rungs are flat from 1000 to
-# 2000 and rise above; the best value follows the stencil density, not N or T.
+# Experiment 1 (2 cores) took 6.2-8.3 / 6.4-7.9 / 6.3-8.7 / 7.4-8.9 /
+# 10.8-13.4 s at 250 / 500 / 1000 / 2000 / 4000, flat up to 2000 within the
+# run-to-run spread; the best value follows the stencil density, not N or T.
 SUBSTEP_NORM = 1000.0
 # Entries of A per slice of the column sums behind ||A||_1: 512 KB of |values|
 # at a time.  In an experiment-1 solve, slices of 2**20 entries left 5 MiB
 # more resident under the Krylov basis, and a whole copy of |A| 38 MiB more.
 NORM_SLICE = 2**16
 # Arnoldi steps between residual checks.  Each check exponentiates the
-# Hessenberg matrix: on experiment 1 (2 cores) a cadence of 2 took 17.6 s
-# against 14.0-14.8 s at 10.
+# Hessenberg matrix: on experiment 1 (2 cores) a cadence of 2 took 5.9-8.9 s
+# against 6.3-8.7 s at 10, no measurable difference; 10 makes fewer calls.
 CHECK_EVERY = 10
 # Arnoldi steps of the Ritz run that estimates the right end of the spectrum
 # for the Chebyshev action.
@@ -220,7 +226,7 @@ class _HeldRows:
         self.free = np.flatnonzero(~empty)
         self.held = np.flatnonzero(empty)
         self.v_held = v[self.held]
-        self.held_norm = float(np.linalg.norm(self.v_held))
+        self.held_norm = _norm(self.v_held)
         self.shape = (self.free.size + 1,) * 2
         self._x = np.zeros(A.shape[0])
 
@@ -260,25 +266,34 @@ def _norm_1(A):
     return float(sums.max()) if A.nnz else 0.0
 
 
+def _norm(v):
+    """||v||_2 of a flat vector, by numpy's own single-threaded loop."""
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
 def _arnoldi(A, v, steps, btol):
     """Up to ``steps`` Arnoldi steps on A from v, by classical Gram-Schmidt
     with one re-orthogonalization pass (as accurate as modified Gram-Schmidt,
-    but BLAS-2 throughout).  Yields (V, HT, j, h_{j+1,j}) after step j: the
-    basis as rows of V and H transposed in HT (row j = column j of H), both
-    reserved at the cap and written a row per step, so only the rows written
-    become resident.  A breakdown, h_{j+1,j} <= ``btol``, writes no basis row
+    but two matrix-vector products per pass).  The products and norms run on
+    numpy's own loops (``einsum`` without ``optimize``, and :func:`_norm`),
+    not on BLAS: on experiment 1 two BLAS threads slowed the whole loop, the
+    CSR matvec included, to about half its one-thread speed, and numpy's
+    loops give the same bits at any BLAS thread count.  Yields (V, HT, j,
+    h_{j+1,j}) after step j: the basis as rows of V and H transposed in HT
+    (row j = column j of H), both reserved at the cap and written a row per
+    step, so only the rows written become resident.  A breakdown, h_{j+1,j} <= ``btol``, writes no basis row
     and ends the run."""
     V = np.empty((steps + 1, A.shape[0]))
     HT = np.zeros((steps, steps + 1))
-    V[0] = v / np.linalg.norm(v)
+    V[0] = v / _norm(v)
     for j in range(steps):
         w = A @ V[j]
         Q = V[: j + 1]
-        h = Q @ w
-        w -= Q.T @ h
-        corr = Q @ w
-        w -= Q.T @ corr
-        hnext = float(np.linalg.norm(w))
+        h = np.einsum("ij,j->i", Q, w)
+        w -= np.einsum("ij,i->j", Q, h)
+        corr = np.einsum("ij,j->i", Q, w)
+        w -= np.einsum("ij,i->j", Q, corr)
+        hnext = _norm(w)
         HT[j, : j + 1] = h + corr
         HT[j, j + 1] = hnext
         if hnext <= btol:
@@ -294,7 +309,7 @@ def _arnoldi_expm(A, v0, dim, scale, btol, tol):
     # Called through the module attribute, so that a patched expm is seen.
     import scipy.linalg
 
-    beta = float(np.linalg.norm(v0))
+    beta = _norm(v0)
     if beta == 0.0:
         # An earlier short solve underflowed to zero, and exp(scale*A) 0 = 0.
         return v0
@@ -323,7 +338,7 @@ def _arnoldi_expm(A, v0, dim, scale, btol, tol):
             residual=residual,
             dim=used,
         )
-    return beta * (V[:used].T @ expH[:, 0])
+    return beta * np.einsum("ij,i->j", V[:used], expH[:, 0])
 
 
 def chebyshev_expm_action(A, v, tau=1.0):
@@ -420,14 +435,14 @@ def _chebyshev_series(A, v, tau, lo, hi):
     # place, so that A has one copy.
     M2 = (A - c * sp.identity(A.shape[0], format="csr")).tocsr()
     M2.data *= 2.0 / d
-    vnorm = float(np.linalg.norm(v))
+    vnorm = _norm(v)
     a = 0.5 * coef[0]
     y = a * v
     terms = a * vnorm  # sum of |a_k| ||T_k v||
     t_prev, t = v, 0.5 * (M2 @ v)
     small = 0
     for k in range(1, CHEB_MAX_DEGREE + 1):
-        tnorm = float(np.linalg.norm(t))
+        tnorm = _norm(t)
         if not math.isfinite(tnorm):
             raise ChebyshevError(f"Chebyshev term {k} is not finite; the interval "
                                  f"[{lo:.4g}, {hi:.4g}] misses the spectrum", degree=k)
@@ -435,7 +450,7 @@ def _chebyshev_series(A, v, tau, lo, hi):
         y += a * t
         terms += a * tnorm
         if k * k > z:
-            small = small + 1 if a * max(tnorm, vnorm) < CHEB_TOL * np.linalg.norm(y) else 0
+            small = small + 1 if a * max(tnorm, vnorm) < CHEB_TOL * _norm(y) else 0
             if small == 3:
                 break
         w = M2 @ t
@@ -444,7 +459,7 @@ def _chebyshev_series(A, v, tau, lo, hi):
     else:
         raise ChebyshevError(f"Chebyshev sum on [{lo:.4g}, {hi:.4g}] at tau={tau} did not "
                              f"converge in {CHEB_MAX_DEGREE} terms", degree=CHEB_MAX_DEGREE)
-    ynorm = float(np.linalg.norm(y))
+    ynorm = _norm(y)
     indicator = np.finfo(float).eps * terms / ynorm if ynorm > 0 else math.inf
     if not indicator <= CHEB_TOL:
         raise ChebyshevError(f"Chebyshev sum on [{lo:.4g}, {hi:.4g}] lost its accuracy to "
@@ -516,7 +531,7 @@ def modified_midpoint_solve(A, v0, cfg: MidpointConfig):
     refused before the first step.
     """
     mv, v = _midpoint_operands(A, v0, cfg.horizon)
-    norm0 = float(np.linalg.norm(v))
+    norm0 = _norm(v)
     limit = DIVERGENCE_FACTOR * max(norm0, 1e-300)
     dt = 0.5 * cfg.delta_tau
     for step in range(cfg.steps):
@@ -524,7 +539,7 @@ def modified_midpoint_solve(A, v0, cfg: MidpointConfig):
         z1 = v + dt * mv(t0, v)
         z2 = v + 2.0 * dt * mv(t0 + dt, z1)
         v = 0.5 * (z2 + z1 + dt * mv(t0 + 2.0 * dt, z2))
-        nv = float(np.linalg.norm(v))
+        nv = _norm(v)
         if not np.isfinite(nv) or nv > limit:
             raise InstabilityError(
                 f"modified midpoint diverged at step {step + 1}/{cfg.steps} "

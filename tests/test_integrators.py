@@ -484,6 +484,62 @@ def test_expm_action_operand_rules(rng, action, case):
         action(A, v, tau=2.0)
 
 
+# Prints one digest per line: the V and HT of 40 Arnoldi steps on a sparse
+# N = 20,000 matrix, then the Chebyshev action on the bundled experiment
+# 3-const operator and payoff.
+BLAS_THREADS_PROBE = """
+import hashlib
+import numpy as np, scipy.sparse as sp
+from fxhhw import integrators
+from fxhhw.config import bundled_config_path, from_yaml
+from fxhhw.operators import assemble_operator, impose_boundaries
+from fxhhw.pricing import payoff_vector
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+n = 20_000
+rng = np.random.default_rng(0)
+A = sp.csr_matrix((rng.standard_normal(8 * n),
+                   (np.repeat(np.arange(n), 8), rng.integers(0, n, 8 * n))), shape=(n, n))
+for V, HT, j, _ in integrators._arnoldi(A, rng.standard_normal(n), 40, 0.0):
+    pass
+assert j == 39
+print(digest(V, HT))
+cfg = from_yaml(bundled_config_path("experiment3_const"))
+grid = cfg.grid()
+op = impose_boundaries(assemble_operator(grid, cfg.model, theta_mode=cfg.theta_mode),
+                       cfg.boundary, cfg.option)
+print(digest(integrators.chebyshev_expm_action(
+    op.matrix(0.0), payoff_vector(grid, cfg.option), cfg.option.maturity)))
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_thread_digests():
+    """The probe's digests under OPENBLAS_NUM_THREADS = 1 and 2, each in a
+    fresh process (the thread count is read once, when numpy loads)."""
+    src = str(Path(integrators.__file__).parents[1])
+    procs = [subprocess.Popen([sys.executable, "-c", BLAS_THREADS_PROBE],
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for n in ("1", "2")]
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outs.append(out.split())
+    return outs
+
+
+@pytest.mark.parametrize("line", [0, 1], ids=["arnoldi", "chebyshev"])
+def test_bits_do_not_depend_on_blas_threads(blas_thread_digests, line):
+    # The Arnoldi loop's products and norms and the Chebyshev norms run on
+    # numpy's own loops, so the BLAS thread count cannot move a bit.
+    one, two = blas_thread_digests
+    assert one[line] == two[line]
+
+
 class TestMidpointConfig:
     def test_horizon_consistency(self):
         cfg = MidpointConfig.from_horizon(0.25, 0.000625)
