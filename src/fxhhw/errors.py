@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+from numbers import Integral
+
+
+def integer_violations(name, value, low, below="{name} must be >= {low}, got {value}"):
+    """[] when ``value`` is an integer (an ``Integral`` that is not a bool)
+    of at least ``low``, else its one violation; ``below`` words the bound."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        return [f"{name} must be an integer, got {value!r}"]
+    return [] if value >= low else [below.format(name=name, low=low, value=value)]
 
 
 class FxhhwError(Exception):

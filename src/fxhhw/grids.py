@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridDegeneracyError, InvalidArgumentError
+from .errors import GridDegeneracyError, InvalidArgumentError, integer_violations
 
 # Axis names in natural order: position k is dimension k of Grid4D.shape.
 AXES = ("s", "v", "rd", "rf")
@@ -46,7 +46,8 @@ class AxisSpec:
     xi: float
 
     def __post_init__(self):
-        violations = [] if self.m >= 4 else [f"axis needs m >= 4 nodes, got {self.m}"]
+        violations = integer_violations("m", self.m, 4,
+                                        below="axis needs m >= {low} nodes, got {value}")
         if not self.lower < self.upper:
             violations.append(f"axis bounds must increase, got [{self.lower}, {self.upper}]")
         if not self.xi > 0:
@@ -202,7 +203,11 @@ def build_grid(s_spec, v_spec, rd_spec, rf_spec) -> Grid4D:
 
 def uniform_grid(m, s_max, v_max=10.0, r_min=-1.0, r_max=1.0) -> Grid4D:
     """Uniform axes of sizes ``m`` over the same box: the FD baseline's grid."""
-    if len(m) != 4 or any(int(mi) < 4 for mi in m):
-        raise InvalidArgumentError(f"need four axis sizes, each >= 4, got {m}")
+    if len(m) != 4:
+        raise InvalidArgumentError(f"need four axis sizes, got {m}")
+    violations = [v for ax, mi in zip(AXES, m)
+                  for v in integer_violations(f"{ax} axis size", mi, 4)]
+    if violations:
+        raise InvalidArgumentError(violations)
     box = domain_box(s_max, v_max, r_min, r_max)
-    return Grid4D(*(np.linspace(*box[ax], int(mi)) for ax, mi in zip(AXES, m)))
+    return Grid4D(*(np.linspace(*box[ax], mi) for ax, mi in zip(AXES, m)))

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (ChebyshevError, InstabilityError, InvalidArgumentError,
-                     KrylovConvergenceError)
+                     KrylovConvergenceError, integer_violations)
 
 _log = logging.getLogger(__name__)
 
@@ -77,11 +77,12 @@ CHEB_MAX_DEGREE = 10_000
 
 def krylov_dim_violations(dim, n=None):
     """Every violation of the subspace rules; [] when ``dim`` is valid: an
-    explicit ``dim`` is at least 1 and, for N=``n`` rows (None skips this),
-    its basis fits ``BASIS_BUDGET_BYTES``.
+    explicit ``dim`` is an integer of at least 1 and, for N=``n`` rows (None
+    skips this), its basis fits ``BASIS_BUDGET_BYTES``.
     ``dim=None`` takes the budget cap, which must leave room for one step."""
-    if dim is not None and dim < 1:
-        return [f"Krylov subspace dimension must be >= 1, got {dim}"]
+    bad = [] if dim is None else integer_violations("Krylov subspace dimension", dim, 1)
+    if bad:
+        return bad
     rows = (1 if dim is None else dim) + 1
     if n is not None and rows * n * 8 > BASIS_BUDGET_BYTES:
         return [f"a Krylov basis of dimension {rows - 1} for N={n} needs "
@@ -92,10 +93,14 @@ def krylov_dim_violations(dim, n=None):
 
 def midpoint_step_violations(delta_tau, horizon=None):
     """Every violation of the midpoint step rule; [] when ``delta_tau`` is
-    positive and divides ``horizon`` (None skips the divides check)."""
+    positive and divides ``horizon`` (None skips the divides check) in a
+    finite number of steps."""
     if delta_tau is None or not delta_tau > 0:
         return [f"delta_tau must be positive, got {delta_tau}"]
     if horizon is not None:
+        if not math.isfinite(horizon / delta_tau):
+            return [f"delta_tau {delta_tau} gives no finite step count over the "
+                    f"horizon {horizon}"]
         steps = int(round(horizon / delta_tau))
         if steps < 1 or abs(steps * delta_tau - horizon) > 1e-9 * max(1.0, horizon):
             return [f"delta_tau {delta_tau} does not divide the horizon {horizon}"]
@@ -484,11 +489,10 @@ class MidpointConfig:
     steps: int
 
     def __post_init__(self):
-        violations = midpoint_step_violations(self.delta_tau)
+        violations = (midpoint_step_violations(self.delta_tau)
+                      + integer_violations("steps", self.steps, 1))
         if violations:
             raise InvalidArgumentError(violations)
-        if self.steps < 1:
-            raise InvalidArgumentError(f"steps must be >= 1, got {self.steps}")
 
     @classmethod
     def from_horizon(cls, horizon, delta_tau):

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ModelConfigError
+from .errors import InvalidArgumentError, ModelConfigError, integer_violations
 from .model import ModelParams, OptionSpec
 
 CHOLESKY_SHIFT_TOL = 1e-10
@@ -39,13 +38,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        violations = []
-        for name, low in (("paths", 1), ("steps_per_year", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                violations.append(f"{name} must be an integer, got {value!r}")
-            elif not value >= low:
-                violations.append(f"{name} must be >= {low}, got {value}")
+        violations = [v for name, low in (("paths", 1), ("steps_per_year", 1), ("seed", 0))
+                      for v in integer_violations(name, getattr(self, name), low)]
         if violations:
             raise InvalidArgumentError(violations)
 

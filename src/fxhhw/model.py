@@ -121,7 +121,8 @@ def feller_check(params: ModelParams) -> FellerReport:
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """European vanilla option: call or put, strike E, maturity T in years."""
+    """European vanilla option: call or put, strike E, maturity T in years;
+    strike and maturity are positive and finite."""
 
     kind: str
     strike: float
@@ -130,8 +131,12 @@ class OptionSpec:
     def __post_init__(self):
         violations = [] if self.kind in ("call", "put") else [
             f"kind must be 'call' or 'put', got {self.kind!r}"]
-        violations += [f"{name} must be positive, got {getattr(self, name)}"
-                       for name in ("strike", "maturity") if not getattr(self, name) > 0]
+        for name in ("strike", "maturity"):
+            x = getattr(self, name)
+            if not x > 0:
+                violations.append(f"{name} must be positive, got {x}")
+            elif not x < np.inf:
+                violations.append(f"{name} must be finite, got {x}")
         if violations:
             raise InvalidArgumentError(violations)
 

@@ -93,7 +93,12 @@ def _release_freed_heap():
     hands them back only when enough free space gathers at the top of the
     heap, which depends on where the live matrices landed, and that varies
     from run to run with address-space randomization; without a trim, the
-    memory a solve holds differs between identical runs by that much.
+    memory a solve holds differs between identical runs by that much.  The
+    trim matters most from the second solve in one process (a benchmark's
+    repeated passes, a sweep's rungs), where the last solve's operator and
+    assembly temporaries lie freed in the heap: without it, repeated
+    experiment-1 solves peaked at 211-225 MB against 166-169 MB with it
+    (2 BLAS threads), while a lone solve moved by 0.5 MB.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
@@ -191,7 +196,11 @@ def interpolate(field: SolutionField, point, method="linear"):
     boundary values into near-bound queries.
     """
     g = field.grid
-    coords = dict(zip(AXES, map(float, point), strict=True))
+    try:
+        coords = dict(zip(AXES, map(float, point), strict=True))
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            f"a query point is four numbers (s, v, r_d, r_f), got {point!r}") from None
     bad = outside(coords, g.box)
     if bad:
         raise RangeError("query " + "; ".join(bad))

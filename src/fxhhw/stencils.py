@@ -12,10 +12,10 @@ weight arrays and validating its own geometry through :func:`check_geometry`:
   one-sided pairs of the end rows.
 
 The first two evaluate elementwise over arrays of steps and ratios, so a
-matrix builder fills every interior row in one call.  The closed forms are
-the printed two-term forms: the leading 1/h finite-difference part plus one
-h/c^2 term.  ``c=None`` gives each row's classical non-uniform FD weights,
-the c -> inf limit, which the uniform-grid baseline scheme uses.
+matrix builder fills every interior row in one call.  Each row is its
+classical non-uniform FD weights plus the printed 1/c^2 correction (h/c^2
+on first-derivative rows); ``c=None`` drops the correction, leaving the FD
+weights, the c -> inf limit the uniform-grid baseline scheme uses.
 
 A brute-force dense collocation solver is provided as an independent oracle:
 it computes weights that reproduce the exact derivative of every Gaussian
@@ -93,100 +93,80 @@ def first_weight_rows(h, w, c=None):
     """Three-node first-derivative weights (alpha_{i-1}, alpha_i, alpha_{i+1}).
 
     Stencil {x-h, x, x+w*h}, elementwise over arrays of steps ``h`` and
-    ratios ``w``: returns a (3, ...) array.  ``c=None`` gives the classical
-    FD limit.
+    ratios ``w``: returns a (3, ...) array, the FD weights plus
+    h/(3c^2) [w(2w-5)/(w+1), 2(1-w), (5w-2)/(w+1)].
     """
+    h, w = np.broadcast_arrays(h, w)
     check_geometry(h, c, omega_plus=w)
+    fd = np.array([-w / (h * (w + 1.0)), (w - 1.0) / (h * w), 1.0 / (h * w * (w + 1.0))])
     if c is None:
-        am = -w / (h * (w + 1.0))
-        a0 = (w - 1.0) / (h * w)
-        ap = 1.0 / (h * w * (w + 1.0))
-        return np.array([am, a0, ap])
-    c2 = c * c
-    h2 = h * h
-    am = w * (h2 * (2.0 * w - 5.0) - 3.0 * c2) / (3.0 * c2 * h * (w + 1.0))
-    a0 = (w - 1.0) / (h * w) - 2.0 * h * (w - 1.0) / (3.0 * c2)
-    ap = (h2 * (5.0 * w - 2.0) / c2 + 3.0 / w) / (3.0 * h * (w + 1.0))
-    return np.array([am, a0, ap])
+        return fd
+    return fd + h / (3.0 * c * c) * np.array(
+        [w * (2.0 * w - 5.0) / (w + 1.0), 2.0 * (1.0 - w), (5.0 * w - 2.0) / (w + 1.0)]
+    )
 
 
 def second_weight_rows(h, wm, wp, c=None):
     """Four-node second-derivative weights (beta_{i-2}, ..., beta_{i+1}).
 
     Stencil {x-wm*h, x-h, x, x+wp*h}, elementwise over arrays of ``h``,
-    ``wm``, ``wp``: returns a (4, ...) array.  ``c=None`` gives the classical
-    FD limit.
+    ``wm``, ``wp``: returns a (4, ...) array, the FD weights plus a 1/c^2
+    correction that depends on the ratios only.
     """
+    h, wm, wp = np.broadcast_arrays(h, wm, wp)
     # wm = 1 collapses nodes i-2 and i-1; wm < 1 breaks the ordering.
     check_geometry(h, c, w_plus1=wp, w_minus2_minus_1=wm - 1.0)
-    if c is None:
-        h2 = h * h
-        bm2 = 2.0 * (wp - 1.0) / (h2 * (wm - 1.0) * wm * (wm + wp))
-        bm1 = 2.0 * (wm - wp) / (h2 * (wm - 1.0) * (wp + 1.0))
-        b0 = -2.0 * (wm - wp + 1.0) / (h2 * wm * wp)
-        bp1 = 2.0 * (wm + 1.0) / (h2 * (wm + wp) * (wp * wp + wp))
-        return np.array([bm2, bm1, b0, bp1])
-    c2 = c * c
     h2 = h * h
-    mu1 = (
-        -wp * (2.0 * c2 + h2 * wm * (wm + 3.0) + 3.0 * h2)
-        + wm * (2.0 * c2 + h2 * wm + 3.0 * h2)
-        + h2 * (wm + 1.0) * wp * wp
-    )
-    mu2 = (
-        -wm * (2.0 * c2 + h2 * (wp - 1.0) * wp + h2)
-        + (wp - 1.0) * (2.0 * c2 - h2 * wp)
-        + h2 * (wp - 1.0) * wm * wm
-    )
-    bm2 = (
-        (wp - 1.0) * (2.0 * c2 - h2 * wp)
-        + 3.0 * h2 * wm * wm * (wp - 1.0)
-        - h2 * wm * ((wp - 3.0) * wp + 1.0)
-    ) / (c2 * h2 * (wm - 1.0) * wm * (wm + wp))
-    bm1 = mu1 / (c2 * h2 * (wm - 1.0) * (wp + 1.0))
-    b0 = mu2 / (c2 * h2 * wm * wp)
-    bp1 = (
-        (wm + 1.0) * (2.0 * c2 + h2 * wm)
-        + 3.0 * h2 * (wm + 1.0) * wp * wp
-        - h2 * (wm * (wm + 3.0) + 1.0) * wp
-    ) / (c2 * h2 * wp * (wp + 1.0) * (wm + wp))
-    return np.array([bm2, bm1, b0, bp1])
+    fd = np.array([
+        2.0 * (wp - 1.0) / (h2 * (wm - 1.0) * wm * (wm + wp)),
+        2.0 * (wm - wp) / (h2 * (wm - 1.0) * (wp + 1.0)),
+        -2.0 * (wm - wp + 1.0) / (h2 * wm * wp),
+        2.0 * (wm + 1.0) / (h2 * (wm + wp) * (wp * wp + wp)),
+    ])
+    if c is None:
+        return fd
+    return fd + np.array([
+        (3.0 * wm * wm * (wp - 1.0) - wp * (wp - 1.0) - wm * ((wp - 3.0) * wp + 1.0))
+        / ((wm - 1.0) * wm * (wm + wp)),
+        ((wm + 1.0) * wp * wp - wp * (wm * (wm + 3.0) + 3.0) + wm * (wm + 3.0))
+        / ((wm - 1.0) * (wp + 1.0)),
+        ((wp - 1.0) * wm * wm - wm * ((wp - 1.0) * wp + 1.0) - (wp - 1.0) * wp) / (wm * wp),
+        (3.0 * (wm + 1.0) * wp * wp - (wm * (wm + 3.0) + 1.0) * wp + (wm + 1.0) * wm)
+        / (wp * (wp + 1.0) * (wm + wp)),
+    ]) / (c * c)
 
 
 def near_boundary_second_row(hl, hr, c=None):
     """Three-node second-derivative weights for the second grid row.
 
-    Stencil {x-hl, x, x+hr}.  The closed form is written in the step ratio
+    Stencil {x-hl, x, x+hr}: the classical non-uniform central second
+    difference plus a 1/c^2 correction written in the step ratio
     omega = hr/hl, the convention of the three-node first-derivative
-    stencil; ``c=None`` gives the classical non-uniform central second
-    difference, its wide-shape limit.  First-order only; used where the
-    four-node stencil would need a ghost node.
+    stencil.  First-order only; used where the four-node stencil would need
+    a ghost node.
     """
+    check_geometry(np.array([hl, hr]))
+    fd = np.array([2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr))])
     if c is None:
-        check_geometry(np.array([hl, hr]))
-        return np.array([2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr))])
+        return fd
+    # The ratio floor binds the correction only: the FD weights take the gaps.
     w = hr / hl
-    check_geometry(hl, c, below_step_ok=True, omega1=w)
-    c2 = c * c
-    h2 = hl * hl
-    b1 = 2.0 * ((2.0 * (w - 2.0) * w + 5.0) / c2 + 3.0 / h2) / (3.0 * (w + 1.0))
-    b2 = 2.0 * ((-2.0 * w * w + w - 2.0) / c2 - 3.0 / h2) / (3.0 * w)
-    b3 = (6.0 * c2 + 2.0 * h2 * (w * (5.0 * w - 4.0) + 2.0)) / (
-        3.0 * c2 * h2 * w * (w + 1.0)
+    check_geometry(None, c, below_step_ok=True, omega1=w)
+    return fd + 2.0 / (3.0 * c * c) * np.array(
+        [(2.0 * (w - 2.0) * w + 5.0) / (w + 1.0), (w - 2.0 * w * w - 2.0) / w,
+         (w * (5.0 * w - 4.0) + 2.0) / (w * (w + 1.0))]
     )
-    return np.array([b1, b2, b3])
 
 
 def boundary_first_row(h, c=None):
     """Two-node one-sided first-derivative weights for the end rows.
 
-    (h/c^2 - 1/h, 1/h) on the first row's offsets (0, h); the last row uses
-    the same pair on (-h, 0).  ``c=None`` gives the FD pair (-1/h, 1/h).
+    The FD pair (-1/h, 1/h) plus (h/c^2, 0) on the first row's offsets
+    (0, h); the last row uses the same pair on (-h, 0).
     """
     check_geometry(h, c, below_step_ok=True)
-    if c is None:
-        return np.array([-1.0 / h, 1.0 / h])
-    return np.array([h / (c * c) - 1.0 / h, 1.0 / h])
+    fd = np.array([-1.0 / h, 1.0 / h])
+    return fd if c is None else fd + np.array([h / (c * c), 0.0])
 
 
 def boundary_second_row(c):

@@ -615,6 +615,28 @@ class TestCli:
         assert cli.main(["run", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("name, entry, key, value, message", [
+        ("experiment3", "option", "maturity", float("inf"), "option.maturity must be finite, got inf"),
+        ("experiment3", "option", "maturity", 1e308,
+         "solver.delta_tau 0.000625 gives no finite step count over the horizon 1e+308"),
+        ("experiment3", "solver", "delta_tau", 1e-320,
+         "solver.delta_tau 1e-320 gives no finite step count over the horizon 0.25"),
+        ("experiment3_const", "option", "maturity", float("inf"),
+         "option.maturity must be finite, got inf"),
+    ], ids=["maturity-inf", "maturity-1e308", "delta_tau-subnormal", "chebyshev-maturity-inf"])
+    def test_bundled_horizon_without_a_finite_step_count_exit_two(
+            self, tmp_path, capsys, monkeypatch, name, entry, key, value, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an invalid config reached the solver")
+
+        monkeypatch.setattr(pricing, "price", no_solve)
+        raw = yaml.safe_load(Path(bundled_config_path(name)).read_text())
+        raw[entry][key] = value
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_export_bad_slice_spec_exit_two(self, tiny_field, tmp_path, capsys):
         tiny_field.save(tmp_path / "f.npz")
         code = cli.main(["export", str(tmp_path / "f.npz"), "--slice", "sq",

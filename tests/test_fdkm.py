@@ -17,6 +17,15 @@ class TestFdkmConfig:
         with pytest.raises(InvalidArgumentError):
             uniform_grid((3, 6, 6, 6), 1400.0)
 
+    @pytest.mark.parametrize("m, message", [
+        ((5.9, 4, 4, 4), "s axis size must be an integer, got 5.9"),
+        ((5, 4, True, 4), "rd axis size must be an integer, got True"),
+    ])
+    def test_rejects_non_integer_sizes(self, m, message):
+        with pytest.raises(InvalidArgumentError) as err:
+            uniform_grid(m, 100.0)
+        assert err.value.violations == [message]
+
     def test_uniform_axes(self):
         g = uniform_grid((8, 6, 6, 6), 1400.0)
         for d in (g.steps("s"), g.steps("v"), g.steps("rd"), g.steps("rf")):

@@ -70,6 +70,12 @@ class TestSpotAxis:
             "stretch parameter must be positive, got 0.0",
         ]
 
+    @pytest.mark.parametrize("m", [5.5, True])
+    def test_spec_size_must_be_an_integer(self, m):
+        with pytest.raises(InvalidArgumentError) as err:
+            AxisSpec(m, 0.0, 100.0, 50.0, 0.1)
+        assert err.value.violations == [f"m must be an integer, got {m!r}"]
+
 
 class TestVarianceAxis:
     def test_endpoints_exact(self):

@@ -58,6 +58,13 @@ class TestKrylovConfig:
             KrylovConfig(dim=0, tol=np.nan)
         assert len(err.value.violations) == 2
 
+    @pytest.mark.parametrize("dim", [2.5, True])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(InvalidArgumentError) as err:
+            KrylovConfig(dim=dim)
+        assert err.value.violations == [
+            f"Krylov subspace dimension must be an integer, got {dim!r}"]
+
 
 class TestKrylovExpmAction:
     def test_zero_matrix_returns_input(self, rng):
@@ -558,6 +565,22 @@ class TestMidpointConfig:
         # Without a horizon only the sign is checked.
         positive = delta_tau is not None and delta_tau > 0
         assert (integrators.midpoint_step_violations(delta_tau) == []) == positive
+
+    @pytest.mark.parametrize("horizon, delta_tau", [(1e308, 1e-3), (0.25, 1e-320),
+                                                    (np.inf, 0.1)])
+    def test_step_count_that_overflows_is_a_violation(self, horizon, delta_tau):
+        message = (f"delta_tau {delta_tau} gives no finite step count over the "
+                   f"horizon {horizon}")
+        assert integrators.midpoint_step_violations(delta_tau, horizon) == [message]
+        with pytest.raises(InvalidArgumentError) as err:
+            MidpointConfig.from_horizon(horizon, delta_tau)
+        assert err.value.violations == [message]
+
+    @pytest.mark.parametrize("steps", [True, 2.5])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(InvalidArgumentError) as err:
+            MidpointConfig(0.1, steps)
+        assert err.value.violations == [f"steps must be an integer, got {steps!r}"]
 
 
 class TestModifiedMidpoint:

@@ -198,6 +198,15 @@ class TestModelValidation:
             "maturity must be positive, got 0.0",
         ]
 
+    @pytest.mark.parametrize("strike, maturity, message", [
+        (float("inf"), 1.0, "strike must be finite, got inf"),
+        (100.0, float("inf"), "maturity must be finite, got inf"),
+    ], ids=["strike", "maturity"])
+    def test_option_strike_and_maturity_must_be_finite(self, strike, maturity, message):
+        with pytest.raises(InvalidArgumentError) as err:
+            OptionSpec("call", strike, maturity)
+        assert err.value.violations == [message]
+
     def test_rho_accessors(self, par1):
         assert par1.rho_sv == -0.4
         assert par1.rho_sd == -0.15

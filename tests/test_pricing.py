@@ -76,6 +76,12 @@ class TestInterpolate:
         with pytest.raises(RangeError):
             interpolate(exp1_coarse_field, (100.0, 0.04, -1.5, 0.1))
 
+    @pytest.mark.parametrize("point", [(100.0, 0.04, 0.1), (100.0, 0.04, 0.1, 0.1, 0.1),
+                                       ("s", 0.04, 0.1, 0.1), 100.0, None])
+    def test_point_that_is_not_four_numbers_rejected(self, exp1_coarse_field, point):
+        with pytest.raises(InvalidArgumentError, match="four numbers"):
+            interpolate(exp1_coarse_field, point)
+
     def test_unknown_method_rejected(self, exp1_coarse_field):
         with pytest.raises(InvalidArgumentError):
             interpolate(exp1_coarse_field, (100.0, 0.04, 0.1, 0.1), "quintic")

@@ -91,6 +91,19 @@ class TestFirstDerivativeWeights:
         ]
         np.testing.assert_allclose((closed - fd) * c * c / h, expected, rtol=0, atol=1e-10)
 
+    def test_fd_limit_is_classical_bit_for_bit(self):
+        h = np.array([0.1, 0.37, 2.0, 5e-3])
+        w = np.array([1.0, 0.6, 1.9, 3.3])
+        np.testing.assert_array_equal(
+            first_weight_rows(h, w),
+            [-w / (h * (w + 1.0)), (w - 1.0) / (h * w), 1.0 / (h * w * (w + 1.0))],
+        )
+
+    def test_scalar_ratio_broadcasts_over_steps(self):
+        h = np.array([0.1, 0.2, 0.4])
+        np.testing.assert_array_equal(first_weight_rows(h, 1.5, 5.0),
+                                      first_weight_rows(h, np.full(3, 1.5), 5.0))
+
     def test_matches_oracle_at_example_point(self):
         # Oracle solution for nodes {-0.1, 0, 0.15}, c=2 (frozen from the
         # dense collocation solve).  The printed closed forms share the 1/h
@@ -147,6 +160,62 @@ class TestSecondDerivativeWeights:
         w = second_weight_rows(h, wm, wp, 1e8 * h)
         ref = second_weight_rows(h, wm, wp)
         np.testing.assert_allclose(w, ref, rtol=1e-8, atol=1e-8 / h**2)
+
+    def test_fd_limit_is_classical_bit_for_bit(self):
+        h = np.array([0.1, 0.37, 2.0, 5e-3])
+        wm = np.array([2.0, 1.3, 2.6, 1.05])
+        wp = np.array([1.0, 0.6, 2.2, 1.7])
+        h2 = h * h
+        np.testing.assert_array_equal(second_weight_rows(h, wm, wp), [
+            2.0 * (wp - 1.0) / (h2 * (wm - 1.0) * wm * (wm + wp)),
+            2.0 * (wm - wp) / (h2 * (wm - 1.0) * (wp + 1.0)),
+            -2.0 * (wm - wp + 1.0) / (h2 * wm * wp),
+            2.0 * (wm + 1.0) / (h2 * (wm + wp) * (wp * wp + wp)),
+        ])
+
+    def test_scalar_ratios_broadcast_over_steps(self):
+        h = np.array([0.1, 0.2, 0.4, 0.8])
+        np.testing.assert_array_equal(second_weight_rows(h, 1.8, 1.2, 5.0),
+                                      second_weight_rows(h, np.full(4, 1.8), np.full(4, 1.2), 5.0))
+
+    @pytest.mark.parametrize("wm,wp,expected", [
+        (1.3, 0.6, [-1.6410256410256411, 2.6333333333333335, -1.8256410256410258,
+                    0.83333333333333338]),
+        (2.0, 1.0, [1.0 / 3.0, 0.0, -1.0, 2.0 / 3.0]),
+        (1.8, 2.2, [1.8041666666666666, -1.3343749999999999, -1.3393939393939395,
+                    0.86960227272727274]),
+    ])
+    def test_printed_correction_over_c2(self, wm, wp, expected):
+        # Pins the printed four-node correction: (closed form - FD limit) c^2
+        # depends on the ratios only.  Frozen from a 60-digit evaluation of
+        # the single-fraction closed forms.
+        h, c = 0.1, 1.0
+        closed = second_weight_rows(h, wm, wp, c)
+        fd = second_weight_rows(h, wm, wp)
+        np.testing.assert_allclose((closed - fd) * c * c, expected, rtol=0, atol=1e-10)
+
+    # Rows 16-18 of experiment 3's spot-axis second-derivative matrix, from a
+    # 60-digit (mpmath) evaluation of the single-fraction closed forms at the
+    # float64 steps, ratios and c the matrix builder passes.
+    EXPERIMENT3_S_ROWS = {
+        16: [2.4710159629129979604e-05, 3.9052825740193411476e-06,
+             -5.6900758683497815669e-05, 2.8285316480348494917e-05],
+        17: [1.1189910487097879913e-05, 5.4108880419860557823e-07,
+             -2.3754651654258680593e-05, 1.2023652362962195102e-05],
+        18: [5.6891362970327197475e-06, -8.1598142096616499802e-07,
+             -1.0290193670008766050e-05, 5.4170387939422113003e-06],
+    }
+
+    def test_experiment3_rows_within_rounding_of_60_digit_reference(self):
+        # The FD part plus a small correction rounds to a few ulps; row 17's
+        # beta_{i-1} is a cancellation-prone small weight.
+        from fxhhw.config import bundled_config_path, from_yaml
+        from fxhhw.operators import second_derivative_matrix
+
+        g = from_yaml(bundled_config_path("experiment3")).grid()
+        A = second_derivative_matrix(g.s_nodes, shape_parameters(g)["s"]).toarray()
+        for row, ref in self.EXPERIMENT3_S_ROWS.items():
+            np.testing.assert_allclose(A[row, row - 2:row + 2], ref, rtol=5e-15, atol=0)
 
     def test_rejects_unit_w_minus(self):
         with pytest.raises(InvalidArgumentError):
