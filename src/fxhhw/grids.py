@@ -203,8 +203,8 @@ def build_grid(s_spec, v_spec, rd_spec, rf_spec) -> Grid4D:
 
 def uniform_grid(m, s_max, v_max=10.0, r_min=-1.0, r_max=1.0) -> Grid4D:
     """Uniform axes of sizes ``m`` over the same box: the FD baseline's grid."""
-    if len(m) != 4:
-        raise InvalidArgumentError(f"need four axis sizes, got {m}")
+    if not hasattr(m, "__len__") or len(m) != 4:
+        raise InvalidArgumentError(f"need four axis sizes, got {m!r}")
     violations = [v for ax, mi in zip(AXES, m)
                   for v in integer_violations(f"{ax} axis size", mi, 4)]
     if violations:

@@ -14,15 +14,16 @@ single-threaded loops, not BLAS (see :func:`_arnoldi`), so the BLAS thread
 count reaches an Arnoldi solve only through expm(H), the Chebyshev action
 only through the eigenvalues of its small Ritz matrix, and the midpoint
 stepper not at all.
-Spectral diagnostics report the largest real part of A and the largest
-eigenvalue of its symmetric part, the quantity the stability criterion uses.
+Spectral diagnostics report the dominant eigenvalue of A (ARPACK) and the
+largest eigenvalue of its symmetric part (a plain Lanczos run, see
+:func:`_lanczos_top`), the quantity the stability criterion uses.
 
 Only two paths load scipy's dense and sparse linear algebra, which together
 cost about 10 MB of resident memory and 0.1 s to import: the Arnoldi action
 imports ``scipy.linalg`` for expm(H) (it sums ||A||_1 itself), and the
 sparse spectral diagnostics import ``scipy.sparse.linalg`` (which loads
-``scipy.linalg``) for ARPACK.  The Chebyshev action and the midpoint stepper
-load neither.
+``scipy.linalg``) for ARPACK's dominant eigenvalue.  The Chebyshev action
+and the midpoint stepper load neither.
 """
 
 from __future__ import annotations
@@ -41,10 +42,15 @@ from .errors import (ChebyshevError, InstabilityError, InvalidArgumentError,
 _log = logging.getLogger(__name__)
 
 DENSE_EIG_CUTOFF = 1000
-# ARPACK iteration cap for the sparse spectral diagnostics.
+# Most Lanczos steps of the symmetric-part run, and ARPACK's restart cap for
+# the dominant eigenvalue, in the sparse spectral diagnostics.  The Lanczos
+# run on experiment 3-const's free block (14,976 rows) stops at about 380.
 EIG_MAXITER = 8000
 # The midpoint stepper aborts when the iterate norm grows past this factor.
 DIVERGENCE_FACTOR = 1e6
+# Most midpoint steps one solve may take, checked before the first step:
+# 2,500 times the 400 of bundled experiment 3.
+MIDPOINT_MAX_STEPS = 10**6
 # Memory one Krylov basis may take, checked as (dim + 1) * N * 8 bytes before
 # a solve.  A solve writes (steps + 1) * (N_free + 1) * 8 bytes, N_free the
 # rows not held: within the check unless A has no empty row (one entry over).
@@ -60,9 +66,10 @@ SUBSTEP_NORM = 1000.0
 # at a time.  In an experiment-1 solve, slices of 2**20 entries left 5 MiB
 # more resident under the Krylov basis, and a whole copy of |A| 38 MiB more.
 NORM_SLICE = 2**16
-# Arnoldi steps between residual checks.  Each check exponentiates the
-# Hessenberg matrix: on experiment 1 (2 cores) a cadence of 2 took 5.9-8.9 s
-# against 6.3-8.7 s at 10, no measurable difference; 10 makes fewer calls.
+# Arnoldi steps between residual checks, and Lanczos steps between checks of
+# the top Ritz pair.  Each Arnoldi check exponentiates the Hessenberg matrix:
+# on experiment 1 (2 cores) a cadence of 2 took 5.9-8.9 s against 6.3-8.7 s
+# at 10, no measurable difference; 10 makes fewer calls.
 CHECK_EVERY = 10
 # Arnoldi steps of the Ritz run that estimates the right end of the spectrum
 # for the Chebyshev action.
@@ -93,8 +100,8 @@ def krylov_dim_violations(dim, n=None):
 
 def midpoint_step_violations(delta_tau, horizon=None):
     """Every violation of the midpoint step rule; [] when ``delta_tau`` is
-    positive and divides ``horizon`` (None skips the divides check) in a
-    finite number of steps."""
+    positive and divides ``horizon`` (None skips the divides check) in at
+    most ``MIDPOINT_MAX_STEPS`` steps."""
     if delta_tau is None or not delta_tau > 0:
         return [f"delta_tau must be positive, got {delta_tau}"]
     if horizon is not None:
@@ -102,6 +109,9 @@ def midpoint_step_violations(delta_tau, horizon=None):
             return [f"delta_tau {delta_tau} gives no finite step count over the "
                     f"horizon {horizon}"]
         steps = int(round(horizon / delta_tau))
+        if steps > MIDPOINT_MAX_STEPS:
+            return [f"delta_tau {delta_tau} takes {steps:.3g} steps over the horizon "
+                    f"{horizon}, above the limit of {MIDPOINT_MAX_STEPS:,}"]
         if steps < 1 or abs(steps * delta_tau - horizon) > 1e-9 * max(1.0, horizon):
             return [f"delta_tau {delta_tau} does not divide the horizon {horizon}"]
     return []
@@ -222,17 +232,23 @@ class _HeldRows:
     A maps into itself, so in exact arithmetic the Arnoldi run on B from the
     reduced vector has the Hessenberg matrix, residuals and step count of
     the run on A from v, on a basis (N_free + 1) / N the size.  With no
-    empty row, c is 0 throughout.  Each product ``B @ z`` is one matvec
-    with A itself on a preallocated N-vector.
+    empty row, c is 0 throughout.  Each product ``B @ z`` scatters z into a
+    preallocated N-vector x and makes one matvec with A's free rows plus an
+    empty last row, a CSR view ``rows`` that shares A's values and column
+    indices: its row pointers are A's at the free rows, then nnz twice,
+    which holds because the held rows store no entry.  Each free row sums
+    its products in A's own order.
     """
 
     def __init__(self, A, empty, v):
-        self.A = A
         self.free = np.flatnonzero(~empty)
         self.held = np.flatnonzero(empty)
         self.v_held = v[self.held]
         self.held_norm = _norm(self.v_held)
         self.shape = (self.free.size + 1,) * 2
+        indptr = np.append(A.indptr[self.free], [A.nnz, A.nnz]).astype(A.indptr.dtype)
+        self.rows = sp.csr_matrix((A.data, A.indices, indptr),
+                                  shape=(self.shape[0], A.shape[1]), copy=False)
         self._x = np.zeros(A.shape[0])
 
     def reduce(self, v):
@@ -244,7 +260,7 @@ class _HeldRows:
 
     def expand(self, z):
         """The N-vector with z's free rows and the held rows of v, bit for bit."""
-        w = np.empty(self.A.shape[0])
+        w = np.empty(self._x.size)
         w[self.free] = z[:-1]
         w[self.held] = self.v_held
         return w
@@ -255,10 +271,7 @@ class _HeldRows:
         if self.held_norm:
             # A zero v_held leaves the held rows of x zero, as c stays 0.
             x[self.held] = (z[-1] / self.held_norm) * self.v_held
-        out = np.empty(self.shape[0])
-        out[:-1] = (self.A @ x)[self.free]
-        out[-1] = 0.0
-        return out
+        return self.rows @ x
 
 
 def _norm_1(A):
@@ -561,14 +574,17 @@ class SpectralReport:
 
     ``re_lambda_max`` is the real part of the dominant (largest-magnitude)
     eigenvalue, the quantity a power/Arnoldi iteration on A produces and the
-    one whose magnitude tracks grid refinement.  ``rightmost_re`` is the
-    largest real part (the actual decay/growth bound; dense problems only by
-    default).  ``sym_lambda_max`` is the top eigenvalue of (A + A*)/2, the
+    one whose magnitude tracks grid refinement (ARPACK on sparse problems).
+    ``rightmost_re`` is the largest real part (the actual decay/growth bound;
+    dense problems only).  ``sym_lambda_max`` is the top eigenvalue of
+    (A + A*)/2 (a plain Lanczos run on sparse problems), the
     logarithmic-norm quantity of the uniform-stability criterion; for these
     operators it is typically slightly positive because the degenerate
     variance boundary leaves pure-advection rows whose symmetric part is
     indefinite, even when every eigenvalue of A itself has negative real
-    part.
+    part.  ``converged`` is False when either sparse run stopped at its cap;
+    ``re_lambda_max`` is then None if ARPACK stopped, and ``sym_lambda_max``
+    the last top Ritz value if Lanczos stopped.
     """
 
     re_lambda_max: float | None
@@ -584,8 +600,10 @@ def estimate_lambda_max(A):
     They apply to the free block, the rows with a stored entry and their
     columns (:func:`_empty_rows`), without the structural zero eigenvalues
     of the held (Dirichlet-pinned) rows, so a plain matrix gets the report
-    of the operator it came from.  The sparse path starts every ARPACK run
-    from the same seeded vector, so repeated calls give identical reports.
+    of the operator it came from.  The sparse path starts its ARPACK and
+    Lanczos runs from the same seeded vector, so repeated calls give
+    identical reports.  sym_lambda_max is good to about 1e-7 (lambda_max -
+    lo), lo the Gershgorin bound of the symmetric part (:func:`_lanczos_top`).
     """
     M = _as_csr(A.matrix() if hasattr(A, "matrix") else A)
     free = np.flatnonzero(~_empty_rows(M))
@@ -612,22 +630,43 @@ def estimate_lambda_max(A):
     except (spla.ArpackNoConvergence, spla.ArpackError):
         converged = False
 
-    # Shifted by its Gershgorin lower bound lo, the symmetric part has no
-    # eigenvalue below 0, so its top eigenvalue is the dominant one, which
-    # one Lanczos run finds; a Krylov space does not change with the shift.
-    # ARPACK's tol is relative to that shifted value, so sym_lambda_max is
-    # good to about 1e-7 * (lambda_max - lo): lo can lie far below the
-    # spectrum (-12,318 on experiment 1), and the error grows with |lo|.
     S = (0.5 * (M + M.T)).tocsr()
-    lo = _gershgorin_lo_and_norm(S)[0]
-    shifted = (S - lo * sp.identity(n, format="csr")).tocsr()
-    try:
-        sym_max = lo + float(
-            spla.eigsh(shifted, k=1, which="LM", maxiter=EIG_MAXITER, v0=start,
-                       ncv=min(n - 1, 48), tol=1e-7, return_eigenvectors=False)[0]
-        )
-    except spla.ArpackNoConvergence as err:
-        converged = False
-        vals = getattr(err, "eigenvalues", None)
-        sym_max = lo + float(vals.max()) if vals is not None and len(vals) else np.nan
-    return SpectralReport(dom, sym_max, None, converged)
+    sym_max, sym_converged = _lanczos_top(S, start, *_gershgorin_lo_and_norm(S))
+    return SpectralReport(dom, sym_max, None, converged and sym_converged)
+
+
+def _lanczos_top(S, v, lo, norm):
+    """(top eigenvalue estimate, converged) of the symmetric CSR matrix S,
+    of Gershgorin bound ``lo`` and norm ``norm``, from a plain three-term
+    Lanczos run from v: no reorthogonalization and no stored basis, since the
+    extreme Ritz values converge without them (Paige 1980).
+
+    Every ``CHECK_EVERY`` steps and at ``EIG_MAXITER`` steps, the top Ritz
+    pair (theta, s) of the tridiagonal T_k meets ARPACK's residual rule on
+    S - lo*I, which has no eigenvalue below 0: beta_k |s_k| <= 1e-7 (theta -
+    lo).  So the estimate is good to about 1e-7 (lambda_max - lo); lo can
+    lie far below the spectrum (-12,318 on experiment 1), and the error
+    grows with |lo|.  beta_k <= 1e-14 * ``norm`` (an invariant subspace)
+    ends the run with T_k's exact top value.  A run at the cap returns its
+    last top Ritz value, unconverged.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    alpha, beta = [], []
+    q_prev, q, b = np.zeros_like(v), v / _norm(v), 0.0
+    for k in range(1, EIG_MAXITER + 1):
+        w = S @ q
+        w -= b * q_prev
+        a = np.einsum("i,i->", w, q)
+        w -= a * q
+        b = _norm(w)
+        alpha.append(a)
+        beta.append(b)
+        invariant = b <= 1e-14 * norm
+        if invariant or k % CHECK_EVERY == 0 or k == EIG_MAXITER:
+            theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                        select_range=(k - 1, k - 1))
+            if invariant or b * abs(s[-1, 0]) <= 1e-7 * (theta[0] - lo):
+                return float(theta[0]), True
+        q_prev, q = q, w / b
+    return float(theta[0]), False

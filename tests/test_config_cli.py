@@ -621,9 +621,13 @@ class TestCli:
          "solver.delta_tau 0.000625 gives no finite step count over the horizon 1e+308"),
         ("experiment3", "solver", "delta_tau", 1e-320,
          "solver.delta_tau 1e-320 gives no finite step count over the horizon 0.25"),
+        ("experiment3", "option", "maturity", 1e300,
+         "solver.delta_tau 0.000625 takes 1.6e+303 steps over the horizon 1e+300, "
+         "above the limit of 1,000,000"),
         ("experiment3_const", "option", "maturity", float("inf"),
          "option.maturity must be finite, got inf"),
-    ], ids=["maturity-inf", "maturity-1e308", "delta_tau-subnormal", "chebyshev-maturity-inf"])
+    ], ids=["maturity-inf", "maturity-1e308", "delta_tau-subnormal", "maturity-1e300",
+            "chebyshev-maturity-inf"])
     def test_bundled_horizon_without_a_finite_step_count_exit_two(
             self, tmp_path, capsys, monkeypatch, name, entry, key, value, message):
         def no_solve(*args, **kwargs):
@@ -778,7 +782,7 @@ class TestRunnerDiagnostics:
         assert len(calls) == 1
 
     def test_sparse_diagnostics_csv_byte_identical(self, tmp_path):
-        # experiment-2 grid: N = 2880 takes the ARPACK path
+        # experiment-2 grid: N = 2880 takes the sparse (ARPACK and Lanczos) path
         cfg = from_yaml(bundled_config_path("experiment2"))
         cfg.mc = None
         cfg.compute_lambda_max = True

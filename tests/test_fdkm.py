@@ -20,6 +20,7 @@ class TestFdkmConfig:
     @pytest.mark.parametrize("m, message", [
         ((5.9, 4, 4, 4), "s axis size must be an integer, got 5.9"),
         ((5, 4, True, 4), "rd axis size must be an integer, got True"),
+        (5, "need four axis sizes, got 5"),
     ])
     def test_rejects_non_integer_sizes(self, m, message):
         with pytest.raises(InvalidArgumentError) as err:

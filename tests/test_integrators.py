@@ -115,19 +115,22 @@ class TestKrylovExpmAction:
             np.testing.assert_array_equal(got, want)
 
     def test_horizon_makes_no_copy_of_the_matrix(self, rng, monkeypatch):
+        # Every product runs on a view of A's own values and column indices.
         operands = []
+        matmul = integrators._HeldRows.__matmul__
 
-        class Recording(sp.csr_matrix):
-            def __matmul__(self, other):
-                operands.append(self)
-                return super().__matmul__(other)
+        def recording(self, z):
+            operands.append(self.rows)
+            return matmul(self, z)
 
-        A = Recording(random_stable_sparse(rng))
+        monkeypatch.setattr(integrators._HeldRows, "__matmul__", recording)
+        A = random_stable_sparse(rng)
         for tau, substeps in ((0.37, 1), (2.0, 3)):
             split_into(monkeypatch, A, tau, substeps)
             cfg = KrylovConfig(dim=40, tol=1e-12)
             krylov_expm_action(A, rng.standard_normal(50), cfg, tau=tau)
-        assert operands and all(M is A for M in operands)
+        assert operands and all(np.shares_memory(M.data, A.data)
+                                and np.shares_memory(M.indices, A.indices) for M in operands)
 
     @pytest.mark.parametrize("tau", [0.37, 1.0, 2.0])
     def test_substeps_follow_the_norm(self, rng, monkeypatch, tau):
@@ -493,7 +496,7 @@ def test_expm_action_operand_rules(rng, action, case):
 
 # Prints one digest per line: the V and HT of 40 Arnoldi steps on a sparse
 # N = 20,000 matrix, then the Chebyshev action on the bundled experiment
-# 3-const operator and payoff.
+# 3-const operator and payoff, then that operator's sym_lambda_max.
 BLAS_THREADS_PROBE = """
 import hashlib
 import numpy as np, scipy.sparse as sp
@@ -519,6 +522,7 @@ op = impose_boundaries(assemble_operator(grid, cfg.model, theta_mode=cfg.theta_m
                        cfg.boundary, cfg.option)
 print(digest(integrators.chebyshev_expm_action(
     op.matrix(0.0), payoff_vector(grid, cfg.option), cfg.option.maturity)))
+print(repr(integrators.estimate_lambda_max(op).sym_lambda_max))
 """
 
 
@@ -539,10 +543,11 @@ def blas_thread_digests():
     return outs
 
 
-@pytest.mark.parametrize("line", [0, 1], ids=["arnoldi", "chebyshev"])
+@pytest.mark.parametrize("line", [0, 1, 2], ids=["arnoldi", "chebyshev", "sym-lambda-max"])
 def test_bits_do_not_depend_on_blas_threads(blas_thread_digests, line):
-    # The Arnoldi loop's products and norms and the Chebyshev norms run on
-    # numpy's own loops, so the BLAS thread count cannot move a bit.
+    # The Arnoldi loop's products and norms, the Chebyshev norms and the
+    # Lanczos run's products and norms run on numpy's own loops, so the BLAS
+    # thread count cannot move a bit.  (ARPACK's re_lambda_max can move.)
     one, two = blas_thread_digests
     assert one[line] == two[line]
 
@@ -574,6 +579,16 @@ class TestMidpointConfig:
         assert integrators.midpoint_step_violations(delta_tau, horizon) == [message]
         with pytest.raises(InvalidArgumentError) as err:
             MidpointConfig.from_horizon(horizon, delta_tau)
+        assert err.value.violations == [message]
+
+    def test_step_count_above_the_work_limit_is_a_violation(self):
+        # 1.6e303 steps of a finite horizon are refused before any work.
+        assert integrators.midpoint_step_violations(0.5, 0.5 * integrators.MIDPOINT_MAX_STEPS) == []
+        message = ("delta_tau 0.000625 takes 1.6e+303 steps over the horizon 1e+300, "
+                   "above the limit of 1,000,000")
+        assert integrators.midpoint_step_violations(0.000625, 1e300) == [message]
+        with pytest.raises(InvalidArgumentError) as err:
+            MidpointConfig.from_horizon(1e300, 0.000625)
         assert err.value.violations == [message]
 
     @pytest.mark.parametrize("steps", [True, 2.5])
@@ -683,8 +698,8 @@ class TestEstimateLambdaMax:
         assert rep.re_lambda_max == pytest.approx(-3.0, rel=1e-12)
 
     def test_sparse_path_repeatable(self):
-        # ARPACK starts from a fixed vector, so repeated calls in one
-        # process agree exactly (experiment-2 grid, N above the dense cutoff)
+        # ARPACK and Lanczos start from a fixed vector, so repeated calls in
+        # one process agree exactly (experiment-2 grid, N above the dense cutoff)
         cfg = from_yaml(bundled_config_path("experiment2"))
         op = impose_boundaries(
             assemble_operator(cfg.grid(), cfg.model), cfg.boundary, cfg.option
@@ -715,16 +730,39 @@ class TestEstimateLambdaMax:
         assert rep.re_lambda_max == pytest.approx(-500.0, rel=1e-5)
         assert rep.sym_lambda_max == pytest.approx(-1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("partial, want", [([400.0], -100.0), ([], np.nan)])
-    def test_unconverged_lanczos_reports_the_shifted_partial_value(self, monkeypatch,
-                                                                    partial, want):
-        # The Lanczos run sees the symmetric part shifted by its Gershgorin
-        # bound, -500 here: a partial top value of 400 means -100.
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.array(partial), None)
-
-        monkeypatch.setattr(spla, "eigsh", no_convergence)
-        rep = estimate_lambda_max(sp.diags(-np.linspace(1.0, 500.0, 2000)).tocsr())
+    def test_unconverged_lanczos_reports_the_shifted_partial_value(self, monkeypatch):
+        # Capped at 3 steps, the Lanczos run stops short of its residual rule
+        # and reports its last top Ritz value: finite, and at or below the
+        # top eigenvalue of the symmetric part, -1 here.
+        monkeypatch.setattr(integrators, "EIG_MAXITER", 3)
+        S = sp.diags(-np.linspace(1.0, 500.0, 2000)).tocsr()
+        rep = estimate_lambda_max(S)
         assert not rep.converged
-        np.testing.assert_equal(rep.sym_lambda_max, want)
-        assert rep.re_lambda_max == pytest.approx(-500.0, rel=1e-5)
+        assert math.isfinite(rep.sym_lambda_max) and rep.sym_lambda_max <= -1.0
+        start = np.random.default_rng(0).standard_normal(2000)
+        top, converged = integrators._lanczos_top(S, start, -500.0, 500.0)
+        assert not converged and top == rep.sym_lambda_max
+
+    @pytest.mark.parametrize("case", [(12, 8, 6, 6), (14, 10, 8, 8), "experiment2"],
+                             ids=["exp1-12x8x6x6", "exp1-14x10x8x8", "experiment2"])
+    def test_sparse_sym_lambda_max_meets_its_stated_accuracy(self, case):
+        # The sparse path's top value of the free block's symmetric part lies
+        # within 1e-7 * (lambda_max - lo) of dense eigvalsh, lo the Gershgorin
+        # bound of the symmetric part.
+        if case == "experiment2":
+            cfg = from_yaml(bundled_config_path("experiment2"))
+            op = impose_boundaries(assemble_operator(cfg.grid(), cfg.model), cfg.boundary,
+                                   cfg.option)
+        else:
+            op = impose_boundaries(assemble_operator(experiment_grid(case), experiment1_model()),
+                                   "dirichlet", OptionSpec("call", 100.0, 1.0))
+        M = op.matrix(0.0)
+        free = np.flatnonzero(np.diff(M.indptr) > 0)
+        assert free.size > DENSE_EIG_CUTOFF
+        F = M[free][:, free]
+        S = (0.5 * (F + F.T)).tocsr()
+        top = np.linalg.eigvalsh(S.toarray())[-1]
+        lo = integrators._gershgorin_lo_and_norm(S)[0]
+        rep = estimate_lambda_max(op)
+        assert rep.converged
+        assert abs(rep.sym_lambda_max - top) <= 1e-7 * (top - lo)
