@@ -8,8 +8,10 @@ times one Kronecker product of four small per-axis factors, diag(coef) @ D,
 diag(coef), D or the identity, in the natural ordering of ``grids``.  The
 factors are banded, and the table is built from their bands, not from
 Kronecker products: each band combination of a row falls on one flat stencil
-offset (37 on the bundled grids), every term adds into one array per offset, and
-the CSR matrix is written once from those arrays.
+offset (37 on the bundled grids).  The CSR matrix is written in one pass, one
+block of whole r_f planes at a time: every term adds its slice of the block
+into one array per offset, and the block's nonzero entries go straight to the
+CSR arrays, skipping the rows the boundary mode pins.
 
 The operator splits as A(tau) = A0 + theta_d(tau)*Bd + theta_f(tau)*Bf so
 time stepping does not reassemble anything; unless it is time dependent, the
@@ -38,9 +40,11 @@ BOUNDARY_MODES = {
     "abc": (),
 }
 THETA_MODES = ("time_dependent", "constant_approx")
-# Operator rows written to CSR at a time: bounds the (rows, offsets) blocks
-# of the write to a few MB.
-ROW_BLOCK = 2**14
+# Operator rows accumulated and written to CSR at a time, in whole r_f planes
+# (one plane when a plane is larger): bounds the (offsets, rows) accumulator
+# and the write's temporaries to a few MB, so the assembly holds little more
+# than the matrix it returns.
+ROW_BLOCK = 2**12
 
 
 def theta_mode_violations(mode):
@@ -61,7 +65,8 @@ def boundary_violations(mode, kind):
     """Every violation of the boundary rules for an option of ``kind``.
 
     The mode must be one of ``BOUNDARY_MODES``, and a put may not take a mode
-    that pins s=0 at the payoff.  Returns [] when the pair is valid.
+    that pins s=0 at the payoff (``kind=None`` checks the name only).
+    Returns [] when the pair is valid.
     """
     names = tuple(BOUNDARY_MODES)
     if mode not in names:
@@ -196,40 +201,52 @@ def _term_products(grid, scale, factors):
     return [(off, t * scale) for off, t in combos]
 
 
-def _band_matrix(grid, parts):
+def _band_matrix(grid, parts, pinned):
     """CSR matrix of the sum over ``parts`` (level, rows) of level times each
-    row's separable term, with sorted int32 column indices.
+    row's separable term, with sorted int32 column indices and the rows of
+    the boolean mask ``pinned`` left empty.
 
     Each entry is the float expression of the Kronecker assembly: the terms
     summed in row order, part after part (a level of 1.0 is exact, and a
-    theta part has one row, so level * term is level * part).  Every
-    term adds into one array per flat stencil offset; the CSR is then
-    written once, ``ROW_BLOCK`` rows at a time, keeping the nonzero entries.
+    theta part has one row, so level * term is level * part).  The rows are
+    written one block of whole r_f planes at a time: every term adds its
+    slice into one (offsets, block) accumulator, and the block's nonzero
+    entries outside ``pinned`` go straight to the CSR arrays, which are
+    reserved at (kept rows x offsets) and cut to the entries written.
     """
-    n = grid.n
-    terms = [(off, level * t) for level, rows in parts for scale, factors in rows
-             for off, t in _term_products(grid, scale, factors)]
+    n, shape = grid.n, grid.shape[::-1]
+    terms = [(off, np.broadcast_to(level * t, shape)) for level, rows in parts
+             for scale, factors in rows for off, t in _term_products(grid, scale, factors)]
     offsets = sorted({off for off, _ in terms})
     slot = {off: i for i, off in enumerate(offsets)}
-    acc = np.zeros((len(offsets), n))
-    acc4 = acc.reshape(len(offsets), *grid.shape[::-1])
-    for off, t in terms:
-        acc4[slot[off]] += t
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(acc, axis=0), out=indptr[1:])
-    idx = np.int32 if max(n, indptr[-1]) <= np.iinfo(np.int32).max else np.int64
-    indptr = indptr.astype(idx)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=idx)
+    plane = n // shape[0]
+    planes = max(1, ROW_BLOCK // plane)
+    reserve = (n - np.count_nonzero(pinned)) * len(offsets)
+    idx = np.int32 if max(n, reserve) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    data, indices = np.empty(reserve), np.empty(reserve, dtype=idx)
     offsets = np.array(offsets, dtype=idx)
-    for r0 in range(0, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        block = acc[:, r0:r1].T
+    buf = np.empty(len(offsets) * min(planes, shape[0]) * plane)
+    nnz = 0
+    for f0 in range(0, shape[0], planes):
+        f1 = min(f0 + planes, shape[0])
+        r0, r1 = f0 * plane, f1 * plane
+        acc4 = buf[:len(offsets) * (r1 - r0)].reshape(len(offsets), f1 - f0, *shape[1:])
+        acc4.fill(0.0)
+        for off, t in terms:
+            acc4[slot[off]] += t[f0:f1]
+        block = acc4.reshape(len(offsets), r1 - r0).T
         if not np.isfinite(block).all():
             raise AssemblyError("assembled operator contains non-finite entries")
         keep = block != 0
-        lo, hi = indptr[r0], indptr[r1]
-        data[lo:hi] = block[keep]
-        indices[lo:hi] = (np.arange(r0, r1, dtype=idx)[:, None] + offsets)[keep]
+        keep[pinned[r0:r1]] = False
+        indptr[r0 + 1:r1 + 1] = nnz + np.cumsum(np.count_nonzero(keep, axis=1))
+        lo, nnz = nnz, indptr[r1]
+        data[lo:nnz] = block[keep]
+        indices[lo:nnz] = (np.arange(r0, r1, dtype=idx)[:, None] + offsets)[keep]
+    # Hands the unused tail back in place: nothing else refers to the arrays.
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -278,6 +295,16 @@ def face_masks(grid: Grid4D):
     return masks
 
 
+def pinned_rows(grid: Grid4D, mode):
+    """Boolean mask (length N) of the rows the faces of ``BOUNDARY_MODES[mode]``
+    pin, natural ordering."""
+    masks = face_masks(grid)
+    pinned = np.zeros(grid.n, dtype=bool)
+    for face in BOUNDARY_MODES[mode]:
+        pinned |= masks[face]
+    return pinned
+
+
 @dataclass
 class AssembledOperator:
     """The N x N spatial operator, split into theta-independent and theta parts.
@@ -285,7 +312,8 @@ class AssembledOperator:
     ``theta_parts`` is (Bd, Bf), or None once the levels are folded into
     ``base``.  ``d1`` holds the per-axis 1D first-derivative matrices the
     operator was assembled from (no boundary rows).  ``pinned`` marks the rows
-    :func:`impose_boundaries` emptied; the solvers find them from the matrix.
+    of the boundary mode :func:`impose_boundaries` applied, which hold no
+    entries; the solvers find them from the matrix.
     """
 
     base: sp.csr_matrix
@@ -328,8 +356,14 @@ def assemble_operator(
     params: ModelParams,
     theta_mode="time_dependent",
     fd_limit=False,
+    boundary=None,
 ) -> AssembledOperator:
-    """Assemble the spatial operator on ``grid`` (no boundary rows yet).
+    """Assemble the spatial operator on ``grid``.
+
+    ``boundary`` names a mode of ``BOUNDARY_MODES`` whose pinned rows are
+    left empty as they are written, so that :func:`impose_boundaries` with
+    that mode has nothing to copy; None writes every row.  The put rule
+    needs the option and is checked there.
 
     Shape parameters follow the per-axis rule tied to the largest increment;
     ``fd_limit=True`` uses classical FD weights everywhere (uniform-grid
@@ -339,6 +373,8 @@ def assemble_operator(
     folded into the base.
     """
     violations = theta_mode_violations(theta_mode)
+    if boundary is not None:
+        violations += boundary_violations(boundary, None)
     if violations:
         raise InvalidArgumentError(violations)
     if grid.v_nodes[0] < 0:
@@ -348,28 +384,39 @@ def assemble_operator(
     D1 = {ax: first_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
     D2 = {ax: second_derivative_matrix(grid.axis_nodes(ax), c_of[ax]) for ax in AXES}
     table = _term_table(grid, params, D1, D2)
+    pinned = np.zeros(grid.n, bool) if boundary is None else pinned_rows(grid, boundary)
     if time_dependent_operator(theta_mode, params.theta_d_params, params.theta_f_params):
-        base, Bd, Bf = (_band_matrix(grid, [(1.0, rows)]) for rows in table.values())
+        base, Bd, Bf = (_band_matrix(grid, [(1.0, rows)], pinned) for rows in table.values())
         theta_parts = (Bd, Bf)
     else:
         # A(1) = A0 + theta_d(1)*Bd + theta_f(1)*Bf, folded entry by entry.
         th_d, th_f = params.levels(1.0)
         base = _band_matrix(grid, [(1.0, table["base"]), (float(th_d), table["theta_d"]),
-                                   (float(th_f), table["theta_f"])])
+                                   (float(th_f), table["theta_f"])], pinned)
         theta_parts = None
     return AssembledOperator(base=base, theta_parts=theta_parts, grid=grid,
                              params=params, d1=D1)
 
 
-def _zero_rows(A, mask):
-    keep = sp.diags((~mask).astype(float))
-    return (keep @ A).tocsr()
+def _empty_rows(A, rows):
+    """CSR ``A`` with the rows of the mask ``rows`` emptied and its column
+    indices sorted; ``A`` itself when those rows hold no entries."""
+    counts = np.diff(A.indptr)
+    if counts[rows].any():
+        keep = np.repeat(~rows, counts)
+        counts[rows] = 0
+        indptr = np.zeros_like(A.indptr)
+        np.cumsum(counts, out=indptr[1:])
+        A = sp.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
+    A.sort_indices()
+    return A
 
 
 def impose_boundaries(
     op: AssembledOperator, mode, option: OptionSpec
 ) -> AssembledOperator:
-    """Pin the faces of ``BOUNDARY_MODES[mode]``; returns a new operator.
+    """Pin the faces of ``BOUNDARY_MODES[mode]``; returns a new operator
+    recording them in ``pinned``.
 
     ``dirichlet``
         every outer face except v=0 is pinned at its initial (payoff) value:
@@ -381,22 +428,16 @@ def impose_boundaries(
 
     The operator is singular by construction under ``dirichlet`` (zero rows).
     Its matrices have sorted column indices, so every solver sums a row in
-    one order and none has to sort its operand.
+    one order and none has to sort its operand.  An operator assembled with
+    the same mode already has its pinned rows empty, and its matrices come
+    back uncopied; otherwise a pinned row's entries are dropped by an entry
+    mask, which keeps the other rows' entries in their order.
     """
     violations = boundary_violations(mode, option.kind)
     if violations:
         raise ConfigError(violations)
-
-    masks = face_masks(op.grid)
-    base, parts = op.base, op.theta_parts
-    pinned = np.zeros(op.n, dtype=bool)
-    for face in BOUNDARY_MODES[mode]:
-        pinned |= masks[face]
-    if pinned.any():
-        base = _zero_rows(base, pinned)
-        if parts is not None:
-            parts = tuple(_zero_rows(B, pinned) for B in parts)
-
-    for A in (base, *(parts or ())):
-        A.sort_indices()
+    pinned = pinned_rows(op.grid, mode)
+    base = _empty_rows(op.base, pinned)
+    parts = None if op.theta_parts is None else tuple(
+        _empty_rows(B, pinned) for B in op.theta_parts)
     return dataclasses.replace(op, base=base, theta_parts=parts, pinned=pinned)

@@ -89,7 +89,8 @@ except (AttributeError, OSError, TypeError):
 def _release_freed_heap():
     """Return the free pages of the C heap to the OS, where glibc allows it.
 
-    Assembly and boundary rows free tens of MB of sparse temporaries.  glibc
+    Assembly frees several MB of temporaries: its accumulator blocks, term
+    arrays and the unused tail of the reserved CSR arrays.  glibc
     hands them back only when enough free space gathers at the top of the
     heap, which depends on where the live matrices landed, and that varies
     from run to run with address-space randomization; without a trim, the
@@ -265,10 +266,10 @@ def price(
             stacklevel=2,
         )
     op = operators.assemble_operator(
-        grid, model, theta_mode=theta_mode, fd_limit=fd_limit
+        grid, model, theta_mode=theta_mode, fd_limit=fd_limit, boundary=boundary
     )
     op = operators.impose_boundaries(op, boundary, option)
-    # The operator without boundary rows is garbage from here on.
+    # The assembly's blocks and term arrays are garbage from here on.
     _release_freed_heap()
 
     solver = _resolve_solver(solver, time_dependent)

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from fxhhw import operators
-from fxhhw.errors import ConfigError, InvalidArgumentError
+from fxhhw.errors import AssemblyError, ConfigError, InvalidArgumentError
 from fxhhw.grids import AXES, Grid4D, uniform_grid
 from fxhhw.integrators import estimate_lambda_max
 from fxhhw.model import ModelParams, OptionSpec
@@ -494,19 +494,33 @@ def _kron_reference(g, par, theta_mode, fd_limit):
     return base + float(th_d) * Bd + float(th_f) * Bf, None
 
 
+def _band_cases(test):
+    """The 36 assembly cases: grid x (model, theta_mode) x fd_limit x mode."""
+    for mark in reversed([
+        pytest.mark.parametrize("grid", [
+            lambda: experiment_grid((6, 5, 4, 4)),
+            lambda: experiment_grid((9, 7, 5, 6)),
+            lambda: uniform_grid((8, 6, 5, 5), 1400.0),
+        ], ids=["stretched-6544", "stretched-9756", "uniform-8655"]),
+        pytest.mark.parametrize("model, theta_mode", [
+            (experiment1_model, "time_dependent"),
+            (experiment3_model, "time_dependent"),
+            (experiment3_model, "constant_approx"),
+        ], ids=["constant-levels", "time-dependent", "constant-approx"]),
+        pytest.mark.parametrize("fd_limit", [False, True], ids=["rbf", "fd"]),
+        pytest.mark.parametrize("mode", ["dirichlet", "abc"]),
+    ]):
+        test = mark(test)
+    return test
+
+
+def _operator_bytes(op):
+    return sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+               for M in (op.base, *(op.theta_parts or ())))
+
+
 class TestBandAssembly:
-    @pytest.mark.parametrize("grid", [
-        lambda: experiment_grid((6, 5, 4, 4)),
-        lambda: experiment_grid((9, 7, 5, 6)),
-        lambda: uniform_grid((8, 6, 5, 5), 1400.0),
-    ], ids=["stretched-6544", "stretched-9756", "uniform-8655"])
-    @pytest.mark.parametrize("model, theta_mode", [
-        (experiment1_model, "time_dependent"),
-        (experiment3_model, "time_dependent"),
-        (experiment3_model, "constant_approx"),
-    ], ids=["constant-levels", "time-dependent", "constant-approx"])
-    @pytest.mark.parametrize("fd_limit", [False, True], ids=["rbf", "fd"])
-    @pytest.mark.parametrize("mode", ["dirichlet", "abc"])
+    @_band_cases
     def test_bands_equal_the_kronecker_sum_bitwise(self, grid, model, theta_mode,
                                                      fd_limit, mode):
         g, par = grid(), model()
@@ -526,8 +540,25 @@ class TestBandAssembly:
                 for part in ("data", "indices", "indptr"):
                     np.testing.assert_array_equal(getattr(A, part), getattr(B, part))
 
+    @_band_cases
+    def test_rows_pinned_while_written_equal_rows_emptied_after(
+            self, grid, model, theta_mode, fd_limit, mode):
+        g, par = grid(), model()
+        opt = OptionSpec("call", 100.0, 1.0)
+        got, want = (impose_boundaries(
+            assemble_operator(g, par, theta_mode=theta_mode, fd_limit=fd_limit,
+                              boundary=boundary), mode, opt)
+            for boundary in (mode, None))
+        np.testing.assert_array_equal(got.pinned, want.pinned)
+        for A, B in zip((got.base, *(got.theta_parts or ())),
+                        (want.base, *(want.theta_parts or ()))):
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(A, part), getattr(B, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_assembly_peak_stays_near_its_output(self):
-        # The Kronecker sums held 3.5 times the returned matrix at their peak.
+        # The Kronecker sums held 3.5 times the returned matrix at their peak,
+        # one accumulator over all N rows 1.9 times.
         cfg = from_yaml(bundled_config_path("experiment1"))
         g = cfg.grid()
         tracemalloc.start()
@@ -536,9 +567,25 @@ class TestBandAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-                  for M in (op.base, *(op.theta_parts or ())))
-        assert peak < 2.5 * out
+        assert peak < 1.5 * _operator_bytes(op)
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment3"])
+    def test_pricing_path_peak_stays_near_its_output(self, name):
+        # Assembly and boundary rows as price runs them.  Writing every row
+        # and then copying the operator without its pinned rows peaked at
+        # 2.7 (experiment 1) and 3.2 (experiment 3) times the result.
+        cfg = from_yaml(bundled_config_path(name))
+        g = cfg.grid()
+        tracemalloc.start()
+        try:
+            op = impose_boundaries(
+                assemble_operator(g, cfg.model, theta_mode=cfg.theta_mode,
+                                  boundary=cfg.boundary), cfg.boundary, cfg.option)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.pinned.any()
+        assert peak <= 1.5 * _operator_bytes(op)
 
 
 class TestImposeBoundaries:
@@ -588,6 +635,51 @@ class TestImposeBoundaries:
                 assert (theta_rows != want).nnz == 0
             else:
                 assert theta_rows.count_nonzero() == 0
+
+    def test_rows_empty_as_assembled_come_back_uncopied(self, par3, call_1y):
+        g = small_grid()
+        op0 = assemble_operator(g, par3, boundary="dirichlet")
+        op = impose_boundaries(op0, "dirichlet", call_1y)
+        assert op.pinned.any() and op.is_time_dependent
+        for A, B in zip((op.base, *op.theta_parts), (op0.base, *op0.theta_parts)):
+            assert np.shares_memory(A.data, B.data)
+            assert np.shares_memory(A.indices, B.indices)
+
+    def test_rows_holding_entries_are_emptied_in_order(self, par3, call_1y):
+        g = small_grid()
+        op0 = assemble_operator(g, par3)
+        op = impose_boundaries(op0, "dirichlet", call_1y)
+        for A, B in zip((op.base, *op.theta_parts), (op0.base, *op0.theta_parts)):
+            counts = np.diff(A.indptr)
+            assert np.diff(B.indptr)[op.pinned].any()
+            assert not counts[op.pinned].any()
+            assert A.has_sorted_indices
+            same_row = np.repeat(np.arange(g.n), counts)
+            assert np.all(np.diff(A.indices)[np.diff(same_row) == 0] > 0)
+            free = sp.csr_matrix(B.multiply((~op.pinned)[:, None]))
+            assert (A != free).nnz == 0
+
+    def test_non_finite_entry_in_a_pinned_row_still_raises(self, par1, monkeypatch):
+        # An infinite coefficient on the s = 0 face reaches only rows that
+        # dirichlet pins; the assembly check still sees it.
+        g = small_grid()
+        table = operators._term_table
+
+        def with_infinite_face(grid, *args):
+            out = table(grid, *args)
+            coef = np.zeros(grid.shape[0])
+            coef[0] = np.inf
+            out["base"].append((1.0, {"s": sp.diags(coef)}))
+            return out
+
+        monkeypatch.setattr(operators, "_term_table", with_infinite_face)
+        for boundary in ("dirichlet", None):
+            with pytest.raises(AssemblyError, match="non-finite entries"):
+                assemble_operator(g, par1, boundary=boundary)
+
+    def test_unknown_mode_rejected_at_assembly(self, par1):
+        with pytest.raises(InvalidArgumentError, match="boundary must be one of"):
+            assemble_operator(small_grid(), par1, boundary="robin")
 
     def test_put_with_pinning_mode_rejected(self, par1, put_2y):
         g = small_grid()
