@@ -52,8 +52,10 @@ DIVERGENCE_FACTOR = 1e6
 # 2,500 times the 400 of bundled experiment 3.
 MIDPOINT_MAX_STEPS = 10**6
 # Memory one Krylov basis may take, checked as (dim + 1) * N * 8 bytes before
-# a solve.  A solve writes (steps + 1) * (N_free + 1) * 8 bytes, N_free the
-# rows not held: within the check unless A has no empty row (one entry over).
+# a solve.  A short solve writes (steps + 1) * (N_free + 1) * 8 bytes, N_free
+# the rows not held, and steps <= min(dim, STEP_CAP): within the check unless
+# A has no empty row (one entry over).  The check stays on dim, so it refuses
+# the configs it refused before the cap.
 BASIS_BUDGET_BYTES = 2**30
 # Largest tau * ||A||_1 one Arnoldi solve covers; a longer horizon is split
 # into equal short solves.  The steps a solve needs grow with tau * ||A|| and
@@ -62,6 +64,14 @@ BASIS_BUDGET_BYTES = 2**30
 # 10.8-13.4 s at 250 / 500 / 1000 / 2000 / 4000, flat up to 2000 within the
 # run-to-run spread; the best value follows the stencil density, not N or T.
 SUBSTEP_NORM = 1000.0
+# Most Arnoldi steps of one short solve when dim allows more.  A short solve
+# still above tol at the cap advances by the largest fraction 2**-i, i <=
+# HALVINGS, of its horizon whose residual estimate (expm of the same H, no
+# extra matvec) meets tol, and the next one starts there.
+# Experiment 1's first short solve needs 100 steps, the others 50-70; at 50
+# its largest basis is 51 vectors (29 MB) instead of 101 (57.5 MB).
+STEP_CAP = 50
+HALVINGS = 8
 # Entries of A per slice of the column sums behind ||A||_1: 512 KB of |values|
 # at a time.  In an experiment-1 solve, slices of 2**20 entries left 5 MiB
 # more resident under the Krylov basis, and a whole copy of |A| 38 MiB more.
@@ -125,8 +135,9 @@ class KrylovConfig:
     1e-14 * ||A||_1, and otherwise once the residual estimate, computed every
     ``CHECK_EVERY`` steps and at the cap, meets ``tol``.  ``dim=None`` caps
     the subspace at the largest basis that fits ``BASIS_BUDGET_BYTES``; an
-    explicit ``dim`` whose basis does not fit is refused.  ``tol`` must be
-    positive and finite.
+    explicit ``dim`` whose basis does not fit is refused.  Each short solve
+    stops at ``STEP_CAP`` steps when ``dim`` is larger (see
+    :func:`krylov_expm_action`).  ``tol`` must be positive and finite.
     """
 
     dim: int | None = None
@@ -185,18 +196,26 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     Builds an orthonormal basis of span{v0, A v0, ..., A^(Y-1) v0} (see
     :func:`_arnoldi`), then returns beta * V_Y exp(tau H_Y) e1.  The horizon
     ``tau > 0`` scales only the small Hessenberg matrix and the residual,
-    never A.  It is covered by k = max(1, ceil(tau * ||A||_1 / SUBSTEP_NORM))
-    Arnoldi solves of horizon tau / k applied in turn, the exact composition
-    (exp(tau A / k))^k; each has the residual gate, the subspace cap and the
-    breakdown rule of a single solve.  Rows of A with no stored entry hold
-    their values (:func:`_empty_rows`): each short solve returns them from
-    its input bit for bit and runs on the other rows plus one coordinate for
-    the held block (see :class:`_HeldRows`).
+    never A.  It is covered by short Arnoldi solves applied in turn, the
+    exact composition of their exponentials; each has the residual gate and
+    the breakdown rule of a single solve, and the horizon tau / k, k =
+    max(1, ceil(tau * ||A||_1 / SUBSTEP_NORM)), the last one cut to end at
+    tau.  Each basis stops at ``STEP_CAP`` steps when the subspace cap
+    (``dim``) allows more; a short solve still above the tolerance there
+    advances by the largest fraction 2**-i (i <= ``HALVINGS``) of its
+    horizon whose residual estimate meets it, and the next one starts
+    there.  The fractions are dyadic, so the shares of tau / k advanced add
+    up to exactly k, and a solve that never reaches ``STEP_CAP`` runs
+    exactly k short solves of horizon tau / k.  Rows of A with no stored
+    entry hold their values (:func:`_empty_rows`): each short solve returns
+    them from its input bit for bit and runs on the other rows plus one
+    coordinate for the held block (see :class:`_HeldRows`).
     Early breakdown (h_{j+1,j} below threshold) truncates the basis and
-    yields the exact action.  If the subspace cap is reached while the
-    residual estimate still exceeds the tolerance, raises instead of
-    returning silently.  A zero ``v0`` returns zeros; a non-finite ``A`` or
-    ``v0`` is refused.
+    yields the exact action.  Raises KrylovConvergenceError instead of
+    returning silently when a short solve still exceeds the tolerance at a
+    subspace cap of at most ``STEP_CAP``, or at ``STEP_CAP`` for every
+    fraction down to 2**-HALVINGS.  A zero ``v0`` returns zeros; a
+    non-finite ``A`` or ``v0`` is refused.
     """
     cfg = cfg or KrylovConfig()
     A, v0 = _expm_operands(A, v0, tau)
@@ -212,12 +231,22 @@ def krylov_expm_action(A, v0, cfg: KrylovConfig | None = None, *, tau=1.0):
     elif dim > n:
         warnings.warn(f"Krylov dimension {dim} exceeds N={n}; clamped", stacklevel=2)
         dim = n
+    # Past STEP_CAP a short solve advances by part of its horizon; an
+    # explicit dim within it raises there, as any cap did before.
+    halvings = HALVINGS if dim > STEP_CAP else 0
     norm = _norm_1(A)
     substeps = max(1, math.ceil(tau * norm / SUBSTEP_NORM))
     op = _HeldRows(A, _empty_rows(A), v0)
     z = op.reduce(v0)
-    for _ in range(substeps):
-        z = _arnoldi_expm(op, z, dim, tau / substeps, 1e-14 * norm, cfg.tol)
+    left = float(substeps)  # the multiples of tau / k still to cover, dyadic
+    while left:
+        share = min(1.0, left)
+        z, part, steps, residual = _arnoldi_expm(
+            op, z, min(dim, STEP_CAP), tau / substeps * share, 1e-14 * norm,
+            cfg.tol, halvings)
+        _log.debug("arnoldi: %d steps, advanced %g of tau/k, residual estimate "
+                   "%.2e", steps, share * part, residual)
+        left -= share * part
         z[-1] = op.held_norm  # the reduced input of the next short solve
     return op.expand(z)
 
@@ -321,16 +350,21 @@ def _arnoldi(A, v, steps, btol):
         yield V, HT, j, hnext
 
 
-def _arnoldi_expm(A, v0, dim, scale, btol, tol):
-    """exp(scale*A) @ v0 from at most ``dim`` Arnoldi steps on A, to the
-    residual tolerance ``tol``."""
+def _arnoldi_expm(A, v0, dim, scale, btol, tol, halvings=0):
+    """(exp(part*scale*A) @ v0, part, steps, last residual estimate) from at
+    most ``dim`` Arnoldi steps on A, to the residual tolerance ``tol``.
+
+    part is 1 unless the residual at ``dim`` steps exceeds ``tol``; then it
+    is the largest 2**-i, i <= ``halvings``, whose residual meets it, from
+    expm of the same H."""
     # Called through the module attribute, so that a patched expm is seen.
     import scipy.linalg
 
     beta = _norm(v0)
     if beta == 0.0:
         # An earlier short solve underflowed to zero, and exp(scale*A) 0 = 0.
-        return v0
+        return v0, 1.0, 0, 0.0
+    gate = tol * max(1.0, beta)
     used = dim
     residual = np.inf
     expH = None
@@ -341,22 +375,30 @@ def _arnoldi_expm(A, v0, dim, scale, btol, tol):
         if (j + 1) % CHECK_EVERY == 0 or j == dim - 1:
             expH = scipy.linalg.expm(scale * HT[: j + 1, : j + 1].T.copy())
             residual = beta * (scale * hnext) * abs(expH[j, 0])
-            if residual <= tol * max(1.0, beta):
+            if residual <= gate:
                 used = j + 1
                 break
 
     # The last residual check exponentiated H on the basis in use, unless the
     # basis broke down (the exact action) after it.
+    part = 1.0
     if expH is None:
         expH = scipy.linalg.expm(scale * HT[:used, :used].T.copy())
-    elif residual > tol * max(1.0, beta):
+    for _ in range(halvings if residual > gate else 0):
+        part *= 0.5
+        expH = scipy.linalg.expm(part * scale * HT[:used, :used].T.copy())
+        residual = beta * (part * scale * hnext) * abs(expH[used - 1, 0])
+        if residual <= gate:
+            break
+    if residual > gate:
+        tried = f" on {part:g} of its horizon at the step cap" if halvings else "; increase dim"
         raise KrylovConvergenceError(
             f"Krylov subspace of dimension {used} left residual estimate "
-            f"{residual:.3e} above tolerance {tol:.1e}; increase dim",
+            f"{residual:.3e} above tolerance {tol:.1e}{tried}",
             residual=residual,
             dim=used,
         )
-    return beta * np.einsum("ij,i->j", V[:used], expH[:, 0])
+    return beta * np.einsum("ij,i->j", V[:used], expH[:, 0]), part, used, residual
 
 
 def chebyshev_expm_action(A, v, tau=1.0):

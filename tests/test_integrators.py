@@ -1,9 +1,12 @@
 import dataclasses
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fxhhw import integrators
+from fxhhw import integrators, runner
 from fxhhw.config import bundled_config_path, from_yaml
 from fxhhw.errors import (ChebyshevError, InstabilityError, InvalidArgumentError,
                           KrylovConvergenceError)
@@ -134,6 +137,9 @@ class TestKrylovExpmAction:
 
     @pytest.mark.parametrize("tau", [0.37, 1.0, 2.0])
     def test_substeps_follow_the_norm(self, rng, monkeypatch, tau):
+        # Each step takes at most 110 Arnoldi steps: below this cap, every
+        # short solve covers its whole tau / k.
+        monkeypatch.setattr(integrators, "STEP_CAP", 200)
         calls = []
         arnoldi = integrators._arnoldi_expm
 
@@ -151,6 +157,106 @@ class TestKrylovExpmAction:
         calls.clear()
         krylov_expm_action(sp.csr_matrix((200, 200)), v, tau=tau)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5])
+    def test_short_solves_stop_at_the_step_cap(self, rng, monkeypatch, tau):
+        # Uncapped, the first short solve takes 110 steps.  Capped, every
+        # basis stops at STEP_CAP and the short solves advance by dyadic
+        # parts of tau / k (a power of two here, so every horizon is exact)
+        # that sum to tau.
+        steps, horizons = [], []
+        arnoldi, arnoldi_expm = integrators._arnoldi, integrators._arnoldi_expm
+
+        def counting(*args):
+            for out in arnoldi(*args):
+                steps[-1] += 1
+                yield out
+
+        def recording(*args):
+            steps.append(0)
+            out = arnoldi_expm(*args)
+            horizons.append((args[3], out[1]))
+            return out
+
+        monkeypatch.setattr(integrators, "_arnoldi", counting)
+        monkeypatch.setattr(integrators, "_arnoldi_expm", recording)
+        d = -np.linspace(1.0, 2500.0, 200)
+        v = rng.standard_normal(200)
+        got = krylov_expm_action(sp.diags(d).tocsr(), v, KrylovConfig(tol=1e-12), tau=tau)
+        np.testing.assert_allclose(got, np.exp(tau * d) * v, rtol=1e-10, atol=1e-12)
+        assert max(steps) == integrators.STEP_CAP
+        step = tau / math.ceil(tau * 2500.0 / integrators.SUBSTEP_NORM)
+        assert horizons[0][0] == step and horizons[0][1] < 1
+        parts = [Fraction(h) / Fraction(step) for h, _ in horizons]
+        assert all(p.denominator & (p.denominator - 1) == 0 for p in parts)
+        assert sum(Fraction(h) * Fraction(f) for h, f in horizons) == Fraction(tau)
+
+    def test_solves_below_the_step_cap_keep_their_bits(self, rng, monkeypatch):
+        # Three short solves of fewer than STEP_CAP steps each: the same
+        # schedule and the same bits as with no step cap.
+        op = impose_boundaries(
+            assemble_operator(experiment_grid((8, 6, 4, 4)), experiment1_model()),
+            "dirichlet", OptionSpec("call", 100.0, 1.0),
+        )
+        steps = []
+        arnoldi = integrators._arnoldi
+
+        def counting(*args):
+            steps.append(0)
+            for out in arnoldi(*args):
+                steps[-1] += 1
+                yield out
+
+        monkeypatch.setattr(integrators, "_arnoldi", counting)
+        A = op.matrix(0.0)
+        split_into(monkeypatch, A, 1.0, 3)
+        v = rng.standard_normal(A.shape[0])
+        capped = krylov_expm_action(A, v, KrylovConfig(tol=1e-10))
+        assert len(steps) == 3 and max(steps) < integrators.STEP_CAP
+        monkeypatch.setattr(integrators, "STEP_CAP", 10**6)
+        np.testing.assert_array_equal(capped, krylov_expm_action(A, v, KrylovConfig(tol=1e-10)))
+
+    def test_no_fraction_resolved_at_the_step_cap_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(integrators, "STEP_CAP", 5)
+        monkeypatch.setattr(integrators, "HALVINGS", 2)
+        A = sp.diags(-np.linspace(1.0, 2500.0, 200)).tocsr()
+        message = "dimension 5 .* on 0.25 of its horizon at the step cap"
+        with pytest.raises(KrylovConvergenceError, match=message) as err:
+            krylov_expm_action(A, rng.standard_normal(200), KrylovConfig(tol=1e-12), tau=0.25)
+        assert err.value.dim == 5 and err.value.residual > 0
+
+    def test_experiment1_basis_stops_at_the_step_cap(self, monkeypatch):
+        # Uncapped, this grid's one short solve takes 70 steps on a basis
+        # reserved at krylov_dim + 1 = 601 rows.
+        shapes = []
+        arnoldi = integrators._arnoldi
+
+        def recording(*args):
+            for V, HT, j, hnext in arnoldi(*args):
+                shapes.append((j + 2, V.shape))
+                yield V, HT, j, hnext
+
+        monkeypatch.setattr(integrators, "_arnoldi", recording)
+        cfg = from_yaml(bundled_config_path("experiment1")).with_m((12, 8, 8, 8))
+        op = runner.solve_field(cfg).operator
+        rows = (integrators.STEP_CAP + 1, op.n - int(op.pinned.sum()) + 1)
+        assert max(written for written, _ in shapes) == rows[0]
+        assert {shape for _, shape in shapes} == {rows}
+
+    def test_each_short_solve_logs_one_line(self, rng, caplog):
+        caplog.set_level(logging.DEBUG, logger="fxhhw.integrators")
+        A = sp.diags(-np.linspace(1.0, 2500.0, 200)).tocsr()
+        v = rng.standard_normal(200)
+        krylov_expm_action(A, v, KrylovConfig(tol=1e-12), tau=0.25)
+        chebyshev_expm_action(A, v, 0.25)
+        *arnoldi, chebyshev = [r.getMessage() for r in caplog.records]
+        assert arnoldi[0].startswith("arnoldi: 50 steps, advanced 0.125 of tau/k, "
+                                     "residual estimate ")
+        parts = [re.fullmatch(r"arnoldi: \d+ steps, advanced (\S+) of tau/k, residual "
+                              r"estimate \S+", line)[1] for line in arnoldi]
+        assert sum(Fraction(p) for p in parts) == 1
+        assert re.fullmatch(r"chebyshev: interval \[-2500, \S+\], tau 0.25, \d+ terms, "
+                            r"rounding indicator \S+", chebyshev)
 
     @pytest.mark.parametrize("tau, substeps", [(1.0, 1), (0.37, 1), (1.0, 3)])
     def test_held_rows_return_their_input(self, monkeypatch, tau, substeps):
@@ -244,7 +350,9 @@ class TestKrylovExpmAction:
 
     def test_default_dim_is_the_budget_cap(self, rng, monkeypatch):
         # (dim + 1) * N * 8 <= budget: 130 is the largest dim for N = 1000.
+        # With the step cap above it, reaching dim raises.
         monkeypatch.setattr(integrators, "BASIS_BUDGET_BYTES", 2**20)
+        monkeypatch.setattr(integrators, "STEP_CAP", 400)
         w = np.full(999, 100.0)  # skew: exp(A) v needs about 300 steps
         A = sp.diags([w, -w], [1, -1]).tocsr()
         v = rng.standard_normal(1000)
